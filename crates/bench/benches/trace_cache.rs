@@ -8,7 +8,8 @@
 //! makes the parallel grid possible without redundant emulator work.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use wsrs_bench::{run_cell, run_cell_cached, RunParams, TraceCache};
+use wsrs_bench::{run_cell_cached, RunParams, TraceCache};
+use wsrs_core::Simulator;
 use wsrs_workloads::Workload;
 
 const PARAMS: RunParams = RunParams {
@@ -32,7 +33,11 @@ fn trace_generation(c: &mut Criterion) {
         })
     });
     g.bench_function("cache_checkout", |b| {
-        b.iter(|| TraceCache::new(PARAMS).checkout(w).len())
+        b.iter(|| {
+            TraceCache::evicting_per_workload(PARAMS, [(w, 1)].into())
+                .checkout(w)
+                .len()
+        })
     });
     g.finish();
 }
@@ -54,7 +59,11 @@ fn column_of_cells(c: &mut Criterion) {
         |b, cfg| {
             b.iter(|| {
                 (0..CONFIGS_PER_WORKLOAD)
-                    .map(|_| run_cell(w, cfg, PARAMS).cycles)
+                    .map(|_| {
+                        Simulator::new(*cfg)
+                            .run_measured(w.trace(), PARAMS.warmup, PARAMS.measure)
+                            .cycles
+                    })
                     .sum::<u64>()
             })
         },
@@ -64,7 +73,8 @@ fn column_of_cells(c: &mut Criterion) {
         &cfg,
         |b, cfg| {
             b.iter(|| {
-                let cache = TraceCache::evicting(PARAMS, CONFIGS_PER_WORKLOAD as usize);
+                let uses = [(w, CONFIGS_PER_WORKLOAD as usize)].into();
+                let cache = TraceCache::evicting_per_workload(PARAMS, uses);
                 (0..CONFIGS_PER_WORKLOAD)
                     .map(|_| {
                         let trace = cache.checkout(w);

@@ -7,52 +7,12 @@
 //! fanned across `WSRS_THREADS` workers (default: all cores), each
 //! workload's trace emulated once and shared across configurations.
 
-use wsrs_bench::manifest::{artifacts_dir, grid_manifest, telemetry_on, write_manifest};
-use wsrs_bench::{
-    figure4_configs, grid_threads, maybe_write_csv, render_bars, render_csv, render_grid, run_grid,
-    RunParams,
-};
-use wsrs_workloads::Workload;
+use wsrs_bench::{render_bars, render_grid, run_experiment};
 
 fn main() {
-    let params = RunParams::from_env();
-    let configs: Vec<(&str, _)> = figure4_configs()
-        .into_iter()
-        .map(|(n, c)| (n, telemetry_on(&c)))
-        .collect();
-    let names: Vec<&str> = configs.iter().map(|(n, _)| *n).collect();
-    let workloads = Workload::all();
-    eprintln!(
-        "figure4: warmup {} µops, measure {} µops per cell ({} cells, {} threads)",
-        params.warmup,
-        params.measure,
-        workloads.len() * configs.len(),
-        grid_threads()
-    );
-
-    let t0 = std::time::Instant::now();
-    let run = run_grid(&workloads, &configs, params, &|w, name, r, elapsed| {
-        eprintln!(
-            "  {:<8} {:<14} ipc {:>6.3}  mr {:>5.3}  unbal {:>5.1}%  ({elapsed:.1?})",
-            w.name(),
-            name,
-            r.ipc(),
-            r.mispredict_rate(),
-            r.unbalance_percent,
-        );
-    });
-    let grid = &run.reports;
-
-    let mut int_rows = Vec::new();
-    let mut fp_rows = Vec::new();
-    for (w, reports) in workloads.iter().zip(grid) {
-        let vals: Vec<f64> = reports.iter().map(wsrs_core::Report::ipc).collect();
-        if w.is_fp() {
-            fp_rows.push((w.name().to_string(), vals));
-        } else {
-            int_rows.push((w.name().to_string(), vals));
-        }
-    }
+    let run = run_experiment("figure4");
+    let names = run.config_names();
+    let (int_rows, fp_rows) = run.rows_by_class();
 
     println!(
         "{}",
@@ -82,30 +42,4 @@ fn main() {
         "{}",
         render_bars("Figure 4 (bars), floating point", &names, &fp_rows, max)
     );
-
-    let mut all_rows = int_rows;
-    all_rows.extend(fp_rows);
-    if let Some(path) = maybe_write_csv("figure4", &render_csv(&names, &all_rows)) {
-        eprintln!("wrote {}", path.display());
-    }
-
-    if let Some(summary) = run.sample_summary() {
-        eprintln!("{summary}");
-    }
-    let m = grid_manifest(
-        "figure4",
-        &workloads,
-        &configs,
-        params,
-        grid_threads(),
-        t0.elapsed().as_secs_f64(),
-        grid,
-        &run.batched,
-        &run.samples,
-        Some(&run.provenance),
-    );
-    match write_manifest(&m, &artifacts_dir()) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("manifest not written: {e}"),
-    }
 }

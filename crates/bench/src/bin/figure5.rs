@@ -3,56 +3,12 @@
 //! 128 µops; a group is unbalanced when any cluster receives fewer than 24
 //! or more than 40 of them).
 
-use wsrs_bench::manifest::{artifacts_dir, grid_manifest, telemetry_on, write_manifest};
-use wsrs_bench::{grid_threads, maybe_write_csv, render_csv, render_grid, run_grid, RunParams};
-use wsrs_core::{AllocPolicy, SimConfig};
-use wsrs_regfile::RenameStrategy;
-use wsrs_workloads::Workload;
+use wsrs_bench::{render_grid, run_experiment};
 
 fn main() {
-    let params = RunParams::from_env();
-    let configs = [
-        (
-            "WSRS RC",
-            telemetry_on(&SimConfig::wsrs(
-                512,
-                AllocPolicy::RandomCommutative,
-                RenameStrategy::ExactCount,
-            )),
-        ),
-        (
-            "WSRS RM",
-            telemetry_on(&SimConfig::wsrs(
-                512,
-                AllocPolicy::RandomMonadic,
-                RenameStrategy::ExactCount,
-            )),
-        ),
-    ];
-    let names: Vec<&str> = configs.iter().map(|(n, _)| *n).collect();
-    let workloads = Workload::all();
-
-    let t0 = std::time::Instant::now();
-    let run = run_grid(&workloads, &configs, params, &|w, name, r, _| {
-        eprintln!(
-            "  {:<8} {:<8} unbalancing {:>5.1}%",
-            w.name(),
-            name,
-            r.unbalance_percent
-        );
-    });
-    let grid = &run.reports;
-
-    let mut int_rows = Vec::new();
-    let mut fp_rows = Vec::new();
-    for (w, reports) in workloads.iter().zip(grid) {
-        let vals: Vec<f64> = reports.iter().map(|r| r.unbalance_percent).collect();
-        if w.is_fp() {
-            fp_rows.push((w.name().to_string(), vals));
-        } else {
-            int_rows.push((w.name().to_string(), vals));
-        }
-    }
+    let run = run_experiment("figure5");
+    let names = run.config_names();
+    let (int_rows, fp_rows) = run.rows_by_class();
 
     println!(
         "{}",
@@ -73,27 +29,4 @@ fn main() {
         )
     );
     println!("(round-robin on the conventional architecture is 0% by construction)");
-
-    let mut all_rows = int_rows;
-    all_rows.extend(fp_rows);
-    if let Some(path) = maybe_write_csv("figure5", &render_csv(&names, &all_rows)) {
-        eprintln!("wrote {}", path.display());
-    }
-
-    let m = grid_manifest(
-        "figure5",
-        &workloads,
-        &configs,
-        params,
-        grid_threads(),
-        t0.elapsed().as_secs_f64(),
-        grid,
-        &run.batched,
-        &run.samples,
-        Some(&run.provenance),
-    );
-    match write_manifest(&m, &artifacts_dir()) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("manifest not written: {e}"),
-    }
 }

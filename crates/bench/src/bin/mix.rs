@@ -16,7 +16,8 @@ fn main() {
     // Skip initialization loops, then a window long enough for stable
     // fractions (see `wsrs_bench::windows`).
     let params = wsrs_bench::windows::mix_params();
-    let cache = TraceCache::evicting(params, 1);
+    let uses = Workload::all().into_iter().map(|w| (w, 1)).collect();
+    let cache = TraceCache::evicting_per_workload(params, uses);
 
     println!(
         "{:<10}{:>9}{:>9}{:>9}{:>11}{:>9}{:>9}{:>7}",

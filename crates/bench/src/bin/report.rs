@@ -26,16 +26,12 @@
 //! parallel harness.
 
 use std::io::Write;
-use std::time::Instant;
-use wsrs_bench::client;
 use wsrs_bench::manifest::{
-    artifacts_dir, baseline_path, grid_manifest, load_baseline, repo_root, telemetry_on,
-    write_manifest,
+    artifacts_dir, baseline_path, grid_manifest, load_baseline, repo_root, write_manifest,
 };
 use wsrs_bench::windows::{gate_params, probe_params};
 use wsrs_bench::{
-    default_trace_store, figure4_configs, gate_experiments, grid_threads, run_grid_full,
-    run_grid_with_threads, RunParams,
+    client, experiment, experiments, run_grid_with_threads, Experiment, RunParams, Scope,
 };
 use wsrs_core::{SampleSpec, SimConfig};
 use wsrs_telemetry::{GateOutcome, Json, RunManifest, Tolerances};
@@ -44,79 +40,17 @@ use wsrs_workloads::Workload;
 /// Default `wsrs-serve` address for `submit`/`watch`.
 const DEFAULT_ADDR: &str = "127.0.0.1:8787";
 
-/// Runs one experiment grid and assembles its manifest. `sample` is
-/// `None` for the exact path (baselines, the gate); `Some` runs every
-/// cell interval-sampled — the manifest then carries the
-/// `<experiment>-sampled` name and a greppable `sampled:` summary line
-/// goes to stdout.
-fn run_experiment(
-    experiment: &str,
-    workloads: &[Workload],
-    configs: &[(&str, SimConfig)],
-    params: RunParams,
-    threads: usize,
-    sample: Option<SampleSpec>,
-) -> RunManifest {
-    eprintln!(
-        "{experiment}: {} cells, {}+{} µops, {threads} worker(s)",
-        workloads.len() * configs.len(),
-        params.warmup,
-        params.measure,
-    );
-    let t0 = Instant::now();
-    let run = run_grid_full(
-        workloads,
-        configs,
-        params,
-        threads,
-        default_trace_store(),
-        sample,
-        &|w, name, r, _| {
-            eprintln!("  {:<8} {:<14} ipc {:>6.3}", w.name(), name, r.ipc());
-        },
-    );
-    let lanes = run.batched.iter().filter(|&&b| b).count();
-    if lanes > 0 {
-        eprintln!(
-            "{experiment}: path: lockstep batch ({lanes} lane(s)/workload, \
-             {} scalar cell(s))",
-            configs.len() - lanes
-        );
-    } else {
-        eprintln!("{experiment}: path: scalar (batching off or incompatible configs)");
-    }
-    if wsrs_core::skip_enabled() {
-        eprintln!("{experiment}: path: event-horizon cycle skipping on");
-    } else {
-        eprintln!(
-            "{experiment}: path: cycle-by-cycle ({} set)",
-            wsrs_core::NO_SKIP_ENV
-        );
-    }
-    if let Some(summary) = run.sample_summary() {
-        // Stdout on purpose: CI's sample-smoke step greps this line to
-        // assert a warm store replays with zero fast-forwarded µops.
-        println!("{summary}");
-    }
-    grid_manifest(
-        experiment,
-        workloads,
-        configs,
-        params,
-        threads,
-        t0.elapsed().as_secs_f64(),
-        &run.reports,
-        &run.batched,
-        &run.samples,
-        Some(&run.provenance),
-    )
+/// The gated experiments of the table, in table order.
+fn gated() -> impl Iterator<Item = Experiment> {
+    experiments()
+        .into_iter()
+        .filter(|e| e.scope == Scope::Gated)
 }
 
-/// Writes fresh baselines for every experiment at the repo root.
+/// Writes fresh baselines for every gated experiment at the repo root.
 fn write_baselines(params: RunParams) {
-    let threads = grid_threads();
-    for (experiment, configs, workloads) in gate_experiments() {
-        let m = run_experiment(experiment, &workloads, &configs, params, threads, None);
+    for exp in gated() {
+        let m = exp.run(params, None).manifest;
         let path = write_manifest(&m, &repo_root()).expect("write baseline");
         println!("wrote {}", path.display());
     }
@@ -126,10 +60,11 @@ fn write_baselines(params: RunParams) {
 /// three workers must yield byte-identical normalized manifests.
 fn determinism_drift(params: RunParams) -> Option<String> {
     let workloads = [Workload::Gzip, Workload::Mcf];
-    let configs: Vec<(&str, SimConfig)> = figure4_configs()
+    let configs: Vec<(&str, SimConfig)> = experiment("figure4")
+        .expect("figure4 is in the experiment table")
+        .configs
         .into_iter()
         .take(2)
-        .map(|(n, c)| (n, telemetry_on(&c)))
         .collect();
     let probe = probe_params(params);
     let run = |threads: usize| {
@@ -158,19 +93,17 @@ fn determinism_drift(params: RunParams) -> Option<String> {
 /// Compares fresh runs against the committed baselines; returns the exit
 /// code.
 fn gate(params: RunParams) -> i32 {
-    let threads = grid_threads();
-    let fresh_dir = artifacts_dir();
     let mut outcome = GateOutcome::default();
-
-    for (experiment, configs, workloads) in gate_experiments() {
-        let fresh = run_experiment(experiment, &workloads, &configs, params, threads, None);
-        let path = write_manifest(&fresh, &fresh_dir).expect("write fresh manifest");
+    for exp in gated() {
+        let name = exp.name;
+        let fresh = exp.run(params, None).manifest;
+        let path = write_manifest(&fresh, &artifacts_dir()).expect("write fresh manifest");
         eprintln!("wrote {}", path.display());
-        match load_baseline(experiment) {
+        match load_baseline(name) {
             Some(baseline) => outcome.absorb(baseline.compare(&fresh, &Tolerances::default())),
             None => outcome.failures.push(format!(
                 "no committed baseline at {} — run `report` and commit it",
-                baseline_path(experiment).display()
+                baseline_path(name).display()
             )),
         }
     }
@@ -209,41 +142,31 @@ fn gate(params: RunParams) -> i32 {
 /// Pass/fail criteria (the EXPERIMENTS.md accuracy contract):
 /// * each cell: `|estimate − exact| ≤ max(3 × error_bound, 2% × exact)`,
 /// * overall: mean absolute relative error ≤ 2%.
-fn sample_error(experiment: &str, params: RunParams) -> i32 {
-    let Some((exp, configs, workloads)) = gate_experiments()
-        .into_iter()
-        .find(|(e, _, _)| *e == experiment)
-    else {
+fn sample_error(experiment_name: &str, params: RunParams) -> i32 {
+    let Some(exp) = experiment(experiment_name) else {
         eprintln!(
-            "unknown experiment '{experiment}' (have: {})",
-            gate_experiments()
+            "unknown experiment '{experiment_name}' (have: {})",
+            experiments()
                 .iter()
-                .map(|(e, _, _)| *e)
+                .map(|e| e.name)
                 .collect::<Vec<_>>()
                 .join(", ")
         );
         return 2;
     };
-    let Some(baseline) = load_baseline(exp) else {
+    let Some(baseline) = load_baseline(exp.name) else {
         eprintln!(
             "no committed exact baseline at {} — run `report` and commit it",
-            baseline_path(exp).display()
+            baseline_path(exp.name).display()
         );
         return 1;
     };
     let spec = SampleSpec::from_env().unwrap_or_default();
     eprintln!(
-        "{exp}: sampling {} interval(s) × {} µops, {} µops detailed warmup each",
-        spec.intervals, spec.interval_uops, spec.detail_warmup
+        "{}: sampling {} interval(s) × {} µops, {} µops detailed warmup each",
+        exp.name, spec.intervals, spec.interval_uops, spec.detail_warmup
     );
-    let fresh = run_experiment(
-        exp,
-        &workloads,
-        &configs,
-        params,
-        grid_threads(),
-        Some(spec),
-    );
+    let fresh = exp.run(params, Some(spec)).manifest;
     let path = write_manifest(&fresh, &artifacts_dir()).expect("write sampled manifest");
     eprintln!("wrote {}", path.display());
 
@@ -290,7 +213,7 @@ fn sample_error(experiment: &str, params: RunParams) -> i32 {
         abs_rel_sum / checked as f64
     };
     println!(
-        "sample-error {exp}: {checked} cell(s), mean abs rel error {:.2}%",
+        "sample-error {experiment_name}: {checked} cell(s), mean abs rel error {:.2}%",
         100.0 * mean_rel
     );
     if mean_rel.is_nan() || mean_rel > 0.02 {
@@ -522,9 +445,9 @@ fn main() {
         Some("check") => {
             // Parse-only sanity check of the committed baselines.
             let mut ok = true;
-            for (experiment, _, _) in gate_experiments() {
-                let path = baseline_path(experiment);
-                match load_baseline(experiment) {
+            for exp in gated() {
+                let path = baseline_path(exp.name);
+                match load_baseline(exp.name) {
                     Some(m) => println!(
                         "{}: schema {}, {} cells",
                         path.display(),

@@ -6,18 +6,15 @@
 //! The paper cites the companion report \[15\] for the construction and
 //! claims only the complexity preservation; this binary verifies that
 //! claim with the same models that regenerate Table 1, then runs a small
-//! timing grid (shared `run_grid`/`TraceCache` harness) showing what the
+//! timing grid (the `seven_cluster` experiment) showing what the
 //! 7-cluster register budget buys on the 4-cluster timing model — the
 //! timing simulator hard-wires four clusters, so the 7-cluster machine
 //! itself is evaluated with the complexity models only.
 
-use wsrs_bench::{render_grid, run_grid, RunParams};
+use wsrs_bench::{render_grid, run_experiment};
 use wsrs_complexity::{
     bypass_sources, pipeline_cycles, reg_bit_area_w2, wakeup_comparators, CactiModel, RegFileOrg,
 };
-use wsrs_core::{AllocPolicy, SimConfig};
-use wsrs_regfile::RenameStrategy;
-use wsrs_workloads::Workload;
 
 fn main() {
     let model = CactiModel::paper();
@@ -74,35 +71,14 @@ fn main() {
     // 7-cluster *register budget* (896 = 7 × 128) on the 4-cluster machine
     // next to the paper's 512 — the IPC headroom the extra registers alone
     // provide, with the complexity deltas reported above.
-    let wsrs = |regs| {
-        SimConfig::wsrs(
-            regs,
-            AllocPolicy::RandomCommutative,
-            RenameStrategy::ExactCount,
-        )
-    };
-    let configs = [("WSRS 512", wsrs(512)), ("WSRS 896", wsrs(896))];
-    let names: Vec<&str> = configs.iter().map(|(n, _)| *n).collect();
-    let subset = [Workload::Gzip, Workload::Mcf, Workload::Wupwise];
-    let params = RunParams::from_env();
-    let grid = run_grid(&subset, &configs, params, &|_, _, _, _| {}).reports;
-    let rows: Vec<(String, Vec<f64>)> = subset
-        .iter()
-        .zip(&grid)
-        .map(|(w, reports)| {
-            (
-                w.name().to_string(),
-                reports.iter().map(wsrs_core::Report::ipc).collect(),
-            )
-        })
-        .collect();
+    let run = run_experiment("seven_cluster");
     println!();
     println!(
         "{}",
         render_grid(
             "4-cluster timing with the 7-cluster register budget (IPC)",
-            &names,
-            &rows,
+            &run.config_names(),
+            &run.rows(),
             3
         )
     );

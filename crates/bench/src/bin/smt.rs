@@ -64,7 +64,11 @@ fn main() {
         "pair", "ipc(A)", "ipc(B)", "smt thrpt", "speedup", "recov.", "retention"
     );
     for (a, b) in pairs {
-        let cache = TraceCache::new(params);
+        let mut uses = HashMap::new();
+        for w in [a, b] {
+            *uses.entry(w).or_insert(0) += 1;
+        }
+        let cache = TraceCache::evicting_per_workload(params, uses);
         let (ta, tb) = (cache.checkout(a), cache.checkout(b));
         let mut single = |w: Workload, t: &[wsrs_isa::DynInst]| {
             singles

@@ -7,46 +7,16 @@
 //! occupies a register only from issue to superseding-commit, so far fewer
 //! physical registers sustain the same 224-µop window.
 
-use wsrs_bench::{render_grid, run_cell, RunParams};
-use wsrs_core::{SimConfig, SimConfigBuilder};
-use wsrs_regfile::RenameStrategy;
-use wsrs_workloads::Workload;
+use wsrs_bench::{render_grid, run_experiment};
 
 fn main() {
-    let params = RunParams::from_env();
-    let subset = [
-        Workload::Gzip,
-        Workload::Crafty,
-        Workload::Wupwise,
-        Workload::Facerec,
-    ];
-
-    let base = || SimConfig::write_specialized_rr(512, RenameStrategy::ExactCount);
-    let vp = |cap: usize| SimConfigBuilder::from(base()).virtual_physical(cap).build();
-
-    let configs: Vec<(String, SimConfig)> = std::iter::once(("WS 512".to_string(), base()))
-        .chain(
-            [36usize, 40, 48, 64, 96]
-                .iter()
-                .map(|&c| (format!("VP {c}/sub"), vp(c))),
-        )
-        .collect();
-    let names: Vec<&str> = configs.iter().map(|(n, _)| n.as_str()).collect();
-
-    let mut rows = Vec::new();
-    for w in subset {
-        let vals: Vec<f64> = configs
-            .iter()
-            .map(|(_, cfg)| run_cell(w, cfg, params).ipc())
-            .collect();
-        rows.push((w.name().to_string(), vals));
-    }
+    let run = run_experiment("virtual_physical");
     println!(
         "{}",
         render_grid(
             "Virtual-physical registers over WS (IPC; physical regs per subset)",
-            &names,
-            &rows,
+            &run.config_names(),
+            &run.rows(),
             3
         )
     );

@@ -20,12 +20,7 @@
 //! file (e.g. the output of `extract`).
 
 use std::process::ExitCode;
-use wsrs_bench::manifest::{artifacts_dir, grid_manifest, telemetry_on, write_manifest};
-use wsrs_bench::{
-    default_trace_store, grid_threads, maybe_write_csv, render_csv, render_grid, run_grid,
-    workgen_configs, RunParams, TraceCache,
-};
-use wsrs_core::SimConfig;
+use wsrs_bench::{default_trace_store, render_grid, run_experiment, RunParams, TraceCache};
 use wsrs_workgen::presets::{adversarial_readspec, adversarial_writespec, anchor, standard_family};
 use wsrs_workgen::{gen_name, register, remeasure, Tolerances, WorkloadProfile};
 use wsrs_workloads::Workload;
@@ -86,7 +81,8 @@ fn synth(profile: &WorkloadProfile, seed: u64) -> ExitCode {
     let params = RunParams::from_env();
     // Checking the workload out of a store-backed cache records its trace
     // (or verifies the existing recording replays).
-    let cache = TraceCache::evicting(params, 1).with_store(default_trace_store());
+    let cache = TraceCache::evicting_per_workload(params, [(w, 1)].into())
+        .with_store(default_trace_store());
     let trace = cache.checkout(w);
     let uops = trace.len();
     drop(trace);
@@ -120,16 +116,6 @@ fn check(profile: &WorkloadProfile, seed: u64) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// The three grid columns (see [`wsrs_bench::workgen_configs`]): a fixed
-/// 512-register baseline keeps the Δ column a pure specialization
-/// penalty rather than a capacity effect.
-fn grid_configs() -> Vec<(&'static str, SimConfig)> {
-    workgen_configs()
-        .into_iter()
-        .map(|(n, c)| (n, telemetry_on(&c)))
-        .collect()
-}
-
 /// The WSRS IPC delta of one row: how much IPC the worse WSRS column
 /// gives up against the conventional baseline, in percent.
 fn wsrs_delta_pct(row: &[wsrs_core::Report]) -> f64 {
@@ -141,51 +127,25 @@ fn wsrs_delta_pct(row: &[wsrs_core::Report]) -> f64 {
     100.0 * (base - worst) / base
 }
 
-#[allow(clippy::too_many_lines)]
+/// `workgen grid`: the `workgen` experiment (the 12 kernels, then the
+/// standard scenario family) with a WSRS IPC-delta column, rows labelled
+/// by scenario.
 fn grid() -> ExitCode {
-    let params = RunParams::from_env();
-    let configs = grid_configs();
-    let names: Vec<&str> = configs.iter().map(|(n, _)| *n).collect();
-
-    // Rows: the 12 kernels, then the seeded scenario family (registered
-    // here, so `gen:` names resolve process-wide for the whole run).
-    let family = standard_family();
-    let mut workloads: Vec<Workload> = Workload::all().to_vec();
-    let mut labels: Vec<String> = workloads.iter().map(|w| w.name().to_string()).collect();
-    for s in &family {
-        workloads.push(register(&s.profile, s.seed));
-        labels.push(s.label.clone());
-    }
-
-    eprintln!(
-        "workgen grid: {} workloads ({} kernels + {} scenarios) × {} configs, \
-         warmup {} µops, measure {} µops, {} threads",
-        workloads.len(),
-        Workload::all().len(),
-        family.len(),
-        configs.len(),
-        params.warmup,
-        params.measure,
-        grid_threads()
-    );
-
-    let t0 = std::time::Instant::now();
-    let run = run_grid(&workloads, &configs, params, &|w, name, r, elapsed| {
-        eprintln!(
-            "  {:<24} {:<14} ipc {:>6.3}  ({elapsed:.1?})",
-            w.name(),
-            name,
-            r.ipc()
-        );
-    });
+    let run = run_experiment("workgen");
+    let labels: Vec<String> = Workload::all()
+        .iter()
+        .map(|w| w.name().to_string())
+        .chain(standard_family().into_iter().map(|s| s.label))
+        .collect();
+    let reports = &run.grid.reports;
 
     let mut rows = Vec::new();
-    for (label, reports) in labels.iter().zip(&run.reports) {
-        let mut vals: Vec<f64> = reports.iter().map(wsrs_core::Report::ipc).collect();
-        vals.push(wsrs_delta_pct(reports));
+    for (label, row) in labels.iter().zip(reports) {
+        let mut vals: Vec<f64> = row.iter().map(wsrs_core::Report::ipc).collect();
+        vals.push(wsrs_delta_pct(row));
         rows.push((label.clone(), vals));
     }
-    let mut col_names = names.clone();
+    let mut col_names = run.config_names();
     col_names.push("Δwsrs%");
     println!(
         "{}",
@@ -199,43 +159,21 @@ fn grid() -> ExitCode {
 
     // Acceptance: the adversarial corners should cost WSRS more IPC than
     // any SPEC-derived kernel does.
-    let kernel_max = run.reports[..12]
+    let kernel_max = reports[..12]
         .iter()
         .map(|r| wsrs_delta_pct(r))
         .fold(f64::MIN, f64::max);
     println!("max WSRS IPC delta over the 12 kernels: {kernel_max:.2}%");
     let mut adversarial_exceeds = true;
-    for (label, reports) in labels.iter().zip(&run.reports).skip(12) {
+    for (label, row) in labels.iter().zip(reports).skip(12) {
         if label.starts_with("adv_") {
-            let d = wsrs_delta_pct(reports);
+            let d = wsrs_delta_pct(row);
             let verdict = if d > kernel_max { "exceeds" } else { "BELOW" };
             println!("  {label:<14} {d:.2}%  ({verdict} every kernel)");
             adversarial_exceeds &= d > kernel_max;
         }
     }
 
-    if let Some(path) = maybe_write_csv("workgen", &render_csv(&col_names, &rows)) {
-        eprintln!("wrote {}", path.display());
-    }
-    if let Some(summary) = run.sample_summary() {
-        eprintln!("{summary}");
-    }
-    let m = grid_manifest(
-        "workgen",
-        &workloads,
-        &configs,
-        params,
-        grid_threads(),
-        t0.elapsed().as_secs_f64(),
-        &run.reports,
-        &run.batched,
-        &run.samples,
-        Some(&run.provenance),
-    );
-    match write_manifest(&m, &artifacts_dir()) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("manifest not written: {e}"),
-    }
     if adversarial_exceeds {
         ExitCode::SUCCESS
     } else {

@@ -18,6 +18,10 @@
 //! | `trace_dump`       | µop-stream inspector (debugging)                   |
 //! | `pipeview`         | per-µop pipeline timelines (debugging)             |
 //!
+//! Every grid those binaries run is one entry of the [experiment
+//! table](experiments); each grid binary runs its entry through
+//! [`run_experiment`] and prints only its own tables.
+//!
 //! The paper warms 20 M and measures 10 M instructions per benchmark
 //! (§5.3); the defaults here are scaled to 1 M warm-up (which also covers
 //! every kernel's in-trace initialization loops) + 2 M measured so the full
@@ -25,20 +29,24 @@
 //! variables `WSRS_WARMUP` and `WSRS_MEASURE` for paper-scale runs.
 
 pub mod client;
+pub mod experiments;
 pub mod manifest;
 pub mod windows;
+
+pub use experiments::{
+    config_registry, experiment, experiments, gate_experiments, run_experiment, Experiment,
+    ExperimentRun, NamedConfigs, Row, Scope,
+};
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use wsrs_core::{
-    lockstep_compatible, run_lockstep, run_sampled, sim_revision, warm_state_key, AllocPolicy,
-    NoSampleStore, Report, SampleCheckpoint, SampleSpec, SampleStore, SampledReport, SimConfig,
-    Simulator,
+    lockstep_compatible, run_lockstep, run_sampled, sim_revision, warm_state_key, NoSampleStore,
+    Report, SampleCheckpoint, SampleSpec, SampleStore, SampledReport, SimConfig, Simulator,
 };
 use wsrs_isa::DynInst;
-use wsrs_regfile::RenameStrategy;
 use wsrs_telemetry::{Json, SampledCell};
 use wsrs_trace::{CheckpointKey, CheckpointRecord, TraceKey, TraceStore};
 use wsrs_workloads::Workload;
@@ -221,141 +229,6 @@ impl SampleOutcome {
     }
 }
 
-/// The six Figure 4 configurations, in the paper's legend order.
-/// The paper displays renaming strategy 2 results (§5.2.1), so all
-/// specialized configurations use [`RenameStrategy::ExactCount`].
-#[must_use]
-pub fn figure4_configs() -> Vec<(&'static str, SimConfig)> {
-    vec![
-        ("RR 256", SimConfig::conventional_rr(256)),
-        (
-            "WSRR 384",
-            SimConfig::write_specialized_rr(384, RenameStrategy::ExactCount),
-        ),
-        (
-            "WSRR 512",
-            SimConfig::write_specialized_rr(512, RenameStrategy::ExactCount),
-        ),
-        (
-            "WSRS RC S 384",
-            SimConfig::wsrs(
-                384,
-                AllocPolicy::RandomCommutative,
-                RenameStrategy::ExactCount,
-            ),
-        ),
-        (
-            "WSRS RC S 512",
-            SimConfig::wsrs(
-                512,
-                AllocPolicy::RandomCommutative,
-                RenameStrategy::ExactCount,
-            ),
-        ),
-        (
-            "WSRS RM S 512",
-            SimConfig::wsrs(512, AllocPolicy::RandomMonadic, RenameStrategy::ExactCount),
-        ),
-    ]
-}
-
-/// The `workgen` grid columns: an equally-sized unconstrained baseline
-/// and the two WSRS flavours Figure 4 separates (commutative vs monadic
-/// steering slack). Keeping the register count fixed at 512 across all
-/// columns makes a WSRS-vs-baseline IPC delta a pure specialization
-/// penalty rather than a capacity effect. Shared by the `workgen` grid
-/// binary and `wsrs-serve`'s `workgen` experiment submission.
-#[must_use]
-pub fn workgen_configs() -> Vec<(&'static str, SimConfig)> {
-    vec![
-        ("RR 512", SimConfig::conventional_rr(512)),
-        (
-            "WSRS RC S 512",
-            SimConfig::wsrs(
-                512,
-                AllocPolicy::RandomCommutative,
-                RenameStrategy::ExactCount,
-            ),
-        ),
-        (
-            "WSRS RM S 512",
-            SimConfig::wsrs(512, AllocPolicy::RandomMonadic, RenameStrategy::ExactCount),
-        ),
-    ]
-}
-
-/// One gated experiment: name, configurations, workloads.
-pub type Experiment = (&'static str, Vec<(&'static str, SimConfig)>, Vec<Workload>);
-
-/// The gated experiments: Figure 4's six configurations and Figure 5's
-/// two allocation policies, every configuration with telemetry switched
-/// on. Shared by the `report` binary (baselines + regression gate) and
-/// `wsrs-serve` (whole-grid job submission).
-#[must_use]
-pub fn gate_experiments() -> Vec<Experiment> {
-    let telemetry_on = manifest::telemetry_on;
-    let figure4 = figure4_configs()
-        .into_iter()
-        .map(|(n, c)| (n, telemetry_on(&c)))
-        .collect();
-    let figure5 = vec![
-        (
-            "WSRS RC",
-            telemetry_on(&SimConfig::wsrs(
-                512,
-                AllocPolicy::RandomCommutative,
-                RenameStrategy::ExactCount,
-            )),
-        ),
-        (
-            "WSRS RM",
-            telemetry_on(&SimConfig::wsrs(
-                512,
-                AllocPolicy::RandomMonadic,
-                RenameStrategy::ExactCount,
-            )),
-        ),
-    ];
-    vec![
-        ("figure4", figure4, Workload::all().to_vec()),
-        ("figure5", figure5, Workload::all().to_vec()),
-    ]
-}
-
-/// Name → configuration registry over every gated experiment plus the
-/// `workgen` grid columns — the namespace [`CellJob`] wire forms resolve
-/// against. First binding of a name wins (names are unique across the
-/// gate today; the rule keeps the registry stable if experiments ever
-/// overlap).
-#[must_use]
-pub fn config_registry() -> Vec<(String, SimConfig)> {
-    let mut out: Vec<(String, SimConfig)> = Vec::new();
-    let workgen = workgen_configs()
-        .into_iter()
-        .map(|(n, c)| (n, manifest::telemetry_on(&c)))
-        .collect();
-    let groups = gate_experiments()
-        .into_iter()
-        .map(|(_, configs, _)| configs)
-        .chain(std::iter::once(workgen));
-    for configs in groups {
-        for (name, cfg) in configs {
-            if !out.iter().any(|(n, _)| n == name) {
-                out.push((name.to_string(), cfg));
-            }
-        }
-    }
-    out
-}
-
-/// Runs one (workload, configuration) cell, emulating the workload's trace
-/// from scratch. Grid experiments should prefer [`run_grid`], which
-/// emulates each workload once and shares the trace across configurations.
-#[must_use]
-pub fn run_cell(w: Workload, cfg: &SimConfig, p: RunParams) -> Report {
-    Simulator::new(*cfg).run_measured(w.trace(), p.warmup, p.measure)
-}
-
 /// Runs one (workload, configuration) cell from an already-emulated trace.
 #[must_use]
 pub fn run_cell_cached(trace: &[DynInst], cfg: &SimConfig, p: RunParams) -> Report {
@@ -424,25 +297,6 @@ pub struct TraceProvenance {
 }
 
 impl TraceProvenance {
-    /// Merges another run's provenance into this one (multi-sweep
-    /// binaries): counters add; per-workload sources keep the first
-    /// recorded origin.
-    pub fn absorb(&mut self, other: TraceProvenance) {
-        for s in other.sources {
-            if !self.sources.iter().any(|t| t.workload == s.workload) {
-                self.sources.push(s);
-            }
-        }
-        self.sources.sort_by_key(|s| s.workload.name());
-        let (a, b) = (&mut self.counters, other.counters);
-        a.mem_hits += b.mem_hits;
-        a.disk_hits += b.disk_hits;
-        a.misses += b.misses;
-        a.evictions += b.evictions;
-        a.bytes_read += b.bytes_read;
-        a.bytes_written += b.bytes_written;
-    }
-
     /// Whether every workload replayed from disk (a fully warm store).
     #[must_use]
     pub fn all_replayed(&self) -> bool {
@@ -459,24 +313,11 @@ impl TraceProvenance {
 enum TraceEntry {
     /// A thread is emulating this workload; wait on the cache's condvar.
     Building,
-    /// The bounded trace, plus how many more checkouts may still arrive
-    /// (`None` when the cache retains entries forever).
+    /// The bounded trace, plus how many more checkouts may still arrive.
     Ready {
         trace: Arc<[DynInst]>,
-        remaining: Option<usize>,
+        remaining: usize,
     },
-}
-
-/// How long a [`TraceCache`] keeps each workload's in-memory trace.
-enum Retention {
-    /// Entries live for the cache's lifetime.
-    Retain,
-    /// Every workload is checked out exactly this many times; its entry
-    /// is dropped after the last checkout/release pair.
-    Uniform(usize),
-    /// Per-workload expected checkout counts (heterogeneous queues, e.g.
-    /// a `wsrs-serve` job whose cells cover workloads unevenly).
-    PerWorkload(HashMap<Workload, usize>),
 }
 
 /// Two-tier shared store of dynamic µop traces.
@@ -494,16 +335,16 @@ enum Retention {
 /// the store's integrity checks and fall back to re-emulation (with a
 /// warning), overwriting the bad file.
 ///
-/// Construct with [`TraceCache::new`] to retain entries for the cache's
-/// lifetime, or [`TraceCache::evicting`] to drop each workload's trace as
-/// soon as its last expected [`checkout`](TraceCache::checkout) has been
-/// [`release`](TraceCache::release)d — with a trace costing ~80 bytes/µop,
-/// eviction keeps a grid's peak memory proportional to the workloads in
-/// flight rather than to the whole grid.
+/// The cache is built for a known number of checkouts per workload
+/// ([`TraceCache::evicting_per_workload`]) and drops each workload's trace
+/// as soon as its last expected [`checkout`](TraceCache::checkout) has
+/// been [`release`](TraceCache::release)d — with a trace costing ~80
+/// bytes/µop, eviction keeps a grid's peak memory proportional to the
+/// workloads in flight rather than to the whole grid.
 pub struct TraceCache {
     params: RunParams,
     /// Checkouts expected per workload before its entry can be evicted.
-    retention: Retention,
+    uses: HashMap<Workload, usize>,
     /// The disk tier, when attached.
     store: Option<TraceStore>,
     entries: Mutex<HashMap<Workload, TraceEntry>>,
@@ -514,12 +355,14 @@ pub struct TraceCache {
 }
 
 impl TraceCache {
-    /// A cache that retains every generated trace until dropped.
+    /// A cache expecting `uses[w]` checkouts of each workload `w` — the
+    /// retention a [`CellQueue`] derives from its units. Checking out a
+    /// workload absent from `uses` panics (nobody planned it).
     #[must_use]
-    pub fn new(params: RunParams) -> Self {
+    pub fn evicting_per_workload(params: RunParams, uses: HashMap<Workload, usize>) -> Self {
         TraceCache {
             params,
-            retention: Retention::Retain,
+            uses,
             store: None,
             entries: Mutex::new(HashMap::new()),
             built: Condvar::new(),
@@ -528,38 +371,12 @@ impl TraceCache {
         }
     }
 
-    /// A cache that evicts each workload's trace after `uses_per_workload`
-    /// checkout/release pairs (one per grid cell of that workload).
-    #[must_use]
-    pub fn evicting(params: RunParams, uses_per_workload: usize) -> Self {
-        TraceCache {
-            retention: Retention::Uniform(uses_per_workload),
-            ..TraceCache::new(params)
-        }
-    }
-
-    /// A cache with per-workload expected checkout counts — the retention
-    /// a [`CellQueue`] derives when its cells cover workloads unevenly.
-    /// Checking out a workload absent from `uses` panics (the queue did
-    /// not plan it).
-    #[must_use]
-    pub fn evicting_per_workload(params: RunParams, uses: HashMap<Workload, usize>) -> Self {
-        TraceCache {
-            retention: Retention::PerWorkload(uses),
-            ..TraceCache::new(params)
-        }
-    }
-
-    /// Expected checkouts of `w`, `None` on a retaining cache.
-    fn expected_uses(&self, w: Workload) -> Option<usize> {
-        match &self.retention {
-            Retention::Retain => None,
-            Retention::Uniform(n) => Some(*n),
-            Retention::PerWorkload(m) => Some(
-                *m.get(&w)
-                    .unwrap_or_else(|| panic!("checkout of unplanned workload {w}")),
-            ),
-        }
+    /// Expected checkouts of `w`.
+    fn expected_uses(&self, w: Workload) -> usize {
+        *self
+            .uses
+            .get(&w)
+            .unwrap_or_else(|| panic!("checkout of unplanned workload {w}"))
     }
 
     /// Attaches a persistent disk tier: builds replay from `store` when a
@@ -698,8 +515,8 @@ impl TraceCache {
     ///
     /// # Panics
     ///
-    /// Panics if the cache lock is poisoned, or on more checkouts than an
-    /// evicting cache was constructed for.
+    /// Panics if the cache lock is poisoned, or on more checkouts of `w`
+    /// than the cache was constructed for.
     #[must_use]
     pub fn checkout(&self, w: Workload) -> Arc<[DynInst]> {
         let mut entries = self.entries.lock().unwrap();
@@ -723,7 +540,7 @@ impl TraceCache {
                         w,
                         TraceEntry::Ready {
                             trace: Arc::clone(&trace),
-                            remaining: self.expected_uses(w).map(|n| n - 1),
+                            remaining: self.expected_uses(w) - 1,
                         },
                     );
                     self.built.notify_all();
@@ -733,10 +550,11 @@ impl TraceCache {
                     entries = self.built.wait(entries).unwrap();
                 }
                 Some(TraceEntry::Ready { trace, remaining }) => {
-                    if let Some(n) = remaining {
-                        assert!(*n > 0, "more checkouts of {w} than the cache expects");
-                        *n -= 1;
-                    }
+                    assert!(
+                        *remaining > 0,
+                        "more checkouts of {w} than the cache expects"
+                    );
+                    *remaining -= 1;
                     let trace = Arc::clone(trace);
                     drop(entries);
                     self.counters.lock().unwrap().mem_hits += 1;
@@ -746,22 +564,15 @@ impl TraceCache {
         }
     }
 
-    /// Releases one checkout of `w`. On an evicting cache, the entry is
-    /// dropped once all expected checkouts have been taken and released;
-    /// on a retaining cache this is a no-op.
+    /// Releases one checkout of `w`. The entry is dropped once all
+    /// expected checkouts have been taken and released.
     ///
     /// # Panics
     ///
     /// Panics if the cache lock is poisoned.
     pub fn release(&self, w: Workload) {
-        if matches!(self.retention, Retention::Retain) {
-            return;
-        }
         let mut entries = self.entries.lock().unwrap();
-        if let Some(TraceEntry::Ready {
-            remaining: Some(0), ..
-        }) = entries.get(&w)
-        {
+        if let Some(TraceEntry::Ready { remaining: 0, .. }) = entries.get(&w) {
             // Last checkout taken; this release may not be the last one
             // chronologically, but every other user already holds its own
             // `Arc`, so dropping the cache's copy is safe.
@@ -772,24 +583,24 @@ impl TraceCache {
     }
 }
 
-/// Per-cell completion hook for [`run_grid`]: workload, configuration
+/// Per-cell completion hook for [`run_grid_full`]: workload, configuration
 /// label, the finished report, and the cell's wall time. Under more than
 /// one worker the hook is called from worker threads in completion order,
 /// which is not deterministic — keep result collection in the returned
 /// grid, and use the hook only for progress output.
 pub type CellHook<'a> = &'a (dyn Fn(Workload, &str, &Report, Duration) + Sync);
 
-/// Worker count for [`run_grid`]: `WSRS_THREADS` if set, else
-/// `RAYON_NUM_THREADS` (honoured for familiarity), else the machine's
-/// available parallelism.
+/// Worker count for grid runs: `WSRS_THREADS` if set, else the
+/// machine's available parallelism.
 #[must_use]
 pub fn grid_threads() -> usize {
-    for key in ["WSRS_THREADS", "RAYON_NUM_THREADS"] {
-        if let Some(n) = std::env::var(key).ok().and_then(|v| v.parse().ok()) {
-            return 1.max(n);
-        }
+    match std::env::var("WSRS_THREADS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+    {
+        Some(n) => 1.max(n),
+        None => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
     }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// The result of one grid run: the per-cell reports (indexed
@@ -1229,44 +1040,7 @@ pub fn default_trace_store() -> Option<TraceStore> {
     TraceStore::from_env(manifest::artifacts_dir().join("traces"))
 }
 
-/// Runs every (workload, configuration) cell of an experiment grid and
-/// returns the reports indexed `[workload][configuration]` together with
-/// the run's trace provenance.
-///
-/// Each workload's µop trace is materialized once — replayed from the
-/// [`default_trace_store`] when a valid recording exists, emulated (and
-/// recorded) otherwise — shared across its cells through a
-/// [`TraceCache`], and evicted when its last cell completes. Within a
-/// workload, compatible configuration columns are simulated together on
-/// the batched lockstep path ([`wsrs_core::run_lockstep`]): one pass over
-/// the shared trace, annotated by the family predictor once, drives every
-/// lane of the batch. Work units (batches and leftover scalar cells) are
-/// fanned across [`grid_threads`] worker threads, each unit claimed by
-/// exactly one worker; because every unit simulates its (trace,
-/// configuration) pairs in isolation — and the lockstep path is
-/// bit-identical to scalar by construction — the returned grid is
-/// byte-identical for any worker count (including serial), for replayed
-/// vs freshly emulated traces, and for `WSRS_BATCH=0` (batching
-/// disabled) vs the default batched plan.
-#[must_use]
-pub fn run_grid(
-    workloads: &[Workload],
-    configs: &[(&str, SimConfig)],
-    params: RunParams,
-    on_cell: CellHook<'_>,
-) -> GridRun {
-    run_grid_full(
-        workloads,
-        configs,
-        params,
-        grid_threads(),
-        default_trace_store(),
-        SampleSpec::from_env(),
-        on_cell,
-    )
-}
-
-/// [`run_grid`] with an explicit worker count and no disk store — every
+/// [`run_grid_full`] with no disk store and every cell exact — every
 /// trace is emulated in-process. Kept storeless so determinism tests can
 /// compare thread counts without touching the filesystem.
 ///
@@ -1288,13 +1062,32 @@ pub fn run_grid_with_threads(
 /// sampling outcome when the cell ran sampled.
 type CellSlot = Mutex<Option<(Report, Option<SampleOutcome>)>>;
 
-/// [`run_grid`] with every knob explicit: worker count (`threads == 1`
-/// runs every cell inline on the calling thread), the disk trace store
-/// to replay from / record into (`None` disables the disk tier), and the
-/// sampling spec (`None` runs every cell exact; `Some` runs every
+/// Runs every (workload, configuration) cell of a grid and returns the
+/// reports indexed `[workload][configuration]` together with the run's
+/// trace provenance. [`Experiment::run`] drives the table's experiments
+/// through it.
+///
+/// Each workload's µop trace is materialized once — replayed from
+/// `store` when it holds a valid recording, emulated (and recorded)
+/// otherwise; `None` disables the disk tier — shared across its cells
+/// through a [`TraceCache`], and evicted when its last cell completes.
+/// Within a workload, compatible configuration columns are simulated
+/// together on the batched lockstep path ([`wsrs_core::run_lockstep`]):
+/// one pass over the shared trace, annotated by the family predictor
+/// once, drives every lane of the batch. Work units (batches and
+/// leftover scalar cells) are fanned across `threads` workers
+/// (`threads == 1` runs every unit inline on the calling thread), each
+/// unit claimed by exactly one worker; because every unit simulates its
+/// (trace, configuration) pairs in isolation — and the lockstep path is
+/// bit-identical to scalar by construction — the returned grid is
+/// byte-identical for any worker count, for replayed vs freshly emulated
+/// traces, and for `WSRS_BATCH=0` (batching disabled) vs the default
+/// batched plan.
+///
+/// `sample` of `None` runs every cell exact; `Some` runs every
 /// single-thread cell interval-sampled with persisted warmup
 /// checkpoints — multi-thread cells always run exact because the sampled
-/// path is single-context).
+/// path is single-context.
 ///
 /// # Panics
 ///
@@ -1492,7 +1285,7 @@ mod tests {
     #[test]
     fn figure4_plans_as_one_lockstep_batch() {
         let params = RunParams::from_env();
-        let configs = figure4_configs();
+        let configs = experiment("figure4").unwrap().configs;
         let queue = CellQueue::plan(row(Workload::Gzip, &configs, params), true);
         assert_eq!(
             queue.units().len(),
@@ -1607,16 +1400,6 @@ mod tests {
             params
         )
         .is_none());
-    }
-
-    #[test]
-    fn six_figure4_configs() {
-        let cfgs = figure4_configs();
-        assert_eq!(cfgs.len(), 6);
-        assert_eq!(cfgs[0].0, "RR 256");
-        for (_, c) in &cfgs {
-            c.validate();
-        }
     }
 
     #[test]

@@ -98,7 +98,7 @@ pub fn cell_record(
 }
 
 /// Assembles a finished grid into a manifest. Cells are workload-major,
-/// matching [`run_grid`](crate::run_grid)'s result order, so the manifest
+/// matching [`run_grid_full`](crate::run_grid_full)'s result order, so the manifest
 /// (after [`RunManifest::normalized_json_string`]) is byte-identical for
 /// any worker count. `batched` holds the grid's per-configuration
 /// execution path ([`GridRun::batched`](crate::GridRun)); pass an empty
@@ -161,8 +161,7 @@ pub fn grid_manifest(
 }
 
 /// Converts a grid run's per-workload trace sources into manifest rows.
-#[must_use]
-pub fn trace_records(p: &TraceProvenance) -> Vec<TraceRecord> {
+fn trace_records(p: &TraceProvenance) -> Vec<TraceRecord> {
     p.sources
         .iter()
         .map(|s| TraceRecord {
@@ -175,8 +174,7 @@ pub fn trace_records(p: &TraceProvenance) -> Vec<TraceRecord> {
 }
 
 /// Converts a grid run's cache counters into manifest stats.
-#[must_use]
-pub fn trace_stats(p: &TraceProvenance) -> TraceCacheStats {
+fn trace_stats(p: &TraceProvenance) -> TraceCacheStats {
     let c = p.counters;
     TraceCacheStats {
         mem_hits: c.mem_hits,

@@ -33,31 +33,14 @@ const A_COND: u8 = 1 << 0;
 /// Per-µop annotation flag: the family predictor mispredicted it.
 const A_MISP: u8 = 1 << 1;
 
-/// Default sweep block, in cycles per lane per round-robin turn. Sized so
-/// a lane's working set (SoA ROB, wheel, rename state) stays hot in cache
+/// Sweep block, in cycles per lane per round-robin turn. Sized so a
+/// lane's working set (SoA ROB, wheel, rename state) stays hot in cache
 /// for its whole slice instead of being evicted by its siblings every
 /// cycle, while lanes still walk the same region of the shared annotated
-/// trace within a sweep or two of each other.
-const DEFAULT_STRIDE: u32 = 8192;
-
-/// Environment variable overriding the lockstep sweep block
-/// ([`batch_stride`]). Reports are stride-invariant — lanes share nothing
-/// mutable — so this is a pure cache-tuning knob.
-pub const BATCH_STRIDE_ENV: &str = "WSRS_BATCH_STRIDE";
-
-/// The lockstep sweep block for this process: `WSRS_BATCH_STRIDE` when
-/// set to a positive integer (clamped to at least 1), 8192 otherwise.
-/// Read once per process.
-#[must_use]
-pub fn batch_stride() -> u32 {
-    static STRIDE: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
-    *STRIDE.get_or_init(|| {
-        std::env::var(BATCH_STRIDE_ENV)
-            .ok()
-            .and_then(|v| v.parse::<u32>().ok())
-            .map_or(DEFAULT_STRIDE, |v| v.max(1))
-    })
-}
+/// trace within a sweep or two of each other. Reports are
+/// stride-invariant — lanes share nothing mutable — so the block only
+/// trades cache locality against lane interleaving.
+const STRIDE: u32 = 8192;
 
 /// Whether `configs` can share one lockstep batch: every lane
 /// single-threaded (SMT interleaves traces per-machine), no
@@ -137,21 +120,20 @@ pub fn run_lockstep(
     warmup: u64,
     measure: u64,
 ) -> Vec<Report> {
-    run_lockstep_with_stride(configs, trace, warmup, measure, batch_stride())
+    run_lockstep_with_stride(configs, trace, warmup, measure, STRIDE)
 }
 
-/// [`run_lockstep`] with an explicit sweep block instead of the
-/// process-wide [`batch_stride`]. Reports are stride-invariant for any
-/// `stride ≥ 1` (enforced by the `stride_invariance` test): the knob only
-/// changes which lane's cycles are simulated when, never what any lane
-/// observes.
+/// [`run_lockstep`] with an explicit sweep block instead of [`STRIDE`].
+/// Reports are stride-invariant for any `stride ≥ 1` (enforced by the
+/// `stride_invariance` test): the block only changes which lane's cycles
+/// are simulated when, never what any lane observes.
 ///
 /// # Panics
 ///
 /// Panics if `stride` is zero, if `configs` is empty or not
 /// [`lockstep_compatible`], or if any configuration is invalid.
 #[must_use]
-pub fn run_lockstep_with_stride(
+pub(crate) fn run_lockstep_with_stride(
     configs: &[SimConfig],
     trace: &[DynInst],
     warmup: u64,
@@ -281,7 +263,7 @@ mod tests {
         assert_eq!(format!("{:?}", batched[0]), format!("{scalar:?}"));
     }
 
-    /// The sweep block is a pure cache-tuning knob: every lane's report
+    /// The sweep block only tunes cache locality: every lane's report
     /// must be byte-identical at any stride, including a 1-cycle
     /// interleave and a stride beyond the whole run.
     #[test]

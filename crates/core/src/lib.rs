@@ -87,7 +87,7 @@ pub fn skip_enabled() -> bool {
 }
 
 pub use alloc::{AllocPolicy, ClusterChoice};
-pub use batch::{batch_stride, lockstep_compatible, run_lockstep, run_lockstep_with_stride};
+pub use batch::{lockstep_compatible, run_lockstep};
 pub use cluster::{ClusterId, FuKind, Resources};
 pub use config::{FastForward, RegCache, RegFileMode, SimConfig, SimConfigBuilder};
 pub use metrics::{Report, UnbalanceTracker};

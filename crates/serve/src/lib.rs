@@ -4,7 +4,7 @@
 //! (configuration, workload, window) cells — singly or as whole named
 //! experiment grids — and stream back finished cell records as JSON
 //! lines. Three properties make the service more than a remote
-//! `run_grid`:
+//! `run_grid_full`:
 //!
 //! * **Determinism end to end.** Cells are simulated by the same
 //!   [`CellQueue`](wsrs_bench::CellQueue) planner and claim discipline as

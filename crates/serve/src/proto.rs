@@ -1,7 +1,8 @@
 //! Wire protocol of the job API: submission parsing and status/stream
 //! line rendering.
 //!
-//! A submission (`POST /v1/jobs`) is either a whole named experiment
+//! A submission (`POST /v1/jobs`) is either a whole named experiment of
+//! the table ([`wsrs_bench::experiments`]), run at the gate window
 //!
 //! ```json
 //! {"experiment": "figure4"}
@@ -46,19 +47,15 @@ pub fn parse_submission(body: &str, registry: &[(String, SimConfig)]) -> Result<
     let v = Json::parse(body).map_err(|e| format!("malformed JSON body: {e:?}"))?;
 
     if let Some(name) = v.get("experiment").and_then(Json::as_str) {
-        if name == "workgen" {
-            return Ok(workgen_spec());
-        }
-        let (_, configs, workloads) = wsrs_bench::gate_experiments()
-            .into_iter()
-            .find(|(n, _, _)| *n == name)
-            .ok_or_else(|| format!("unknown experiment '{name}'"))?;
+        let exp =
+            wsrs_bench::experiment(name).ok_or_else(|| format!("unknown experiment '{name}'"))?;
         // Experiments run at the gate window so memoized cells are shared
         // with `report gate` runs.
         let params = gate_params();
-        let cells = workloads
-            .iter()
-            .flat_map(|&w| {
+        let configs = &exp.configs;
+        let cells = (exp.workloads)()
+            .into_iter()
+            .flat_map(|w| {
                 configs
                     .iter()
                     .map(move |(n, cfg)| CellJob::new(w, n, *cfg, params))
@@ -101,31 +98,6 @@ pub fn parse_submission(body: &str, registry: &[(String, SimConfig)]) -> Result<
     Ok(JobSpec { cells, params })
 }
 
-/// Expands `{"experiment": "workgen"}`: the standard generated-scenario
-/// family ([`wsrs_workgen::presets::standard_family`]) over the `workgen`
-/// grid columns, at the gate window. Registering each scenario here makes
-/// its `gen:<profile-hash>:<seed>` name resolve process-wide, so the
-/// job's trace-cache keys and manifests carry real generated-workload
-/// fingerprints.
-fn workgen_spec() -> JobSpec {
-    let params = gate_params();
-    let configs: Vec<(&str, SimConfig)> = wsrs_bench::workgen_configs()
-        .into_iter()
-        .map(|(n, c)| (n, wsrs_bench::manifest::telemetry_on(&c)))
-        .collect();
-    let cells = wsrs_workgen::presets::standard_family()
-        .iter()
-        .flat_map(|s| {
-            let w = wsrs_workgen::register(&s.profile, s.seed);
-            configs
-                .iter()
-                .map(move |(n, cfg)| CellJob::new(w, n, *cfg, params))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    JobSpec { cells, params }
-}
-
 /// The deterministic first line of a job's result stream. Contains only
 /// content (window and cell count) — never the job id or any origin
 /// counter — so every stream of the same grid is byte-identical
@@ -162,25 +134,37 @@ mod tests {
     }
 
     #[test]
-    fn workgen_submission_expands_the_generated_family() {
+    fn every_table_experiment_is_submittable() {
+        for exp in wsrs_bench::experiments() {
+            let body = format!("{{\"experiment\": \"{}\"}}", exp.name);
+            let spec = parse_submission(&body, &config_registry()).unwrap();
+            let rows = (exp.workloads)();
+            assert_eq!(spec.cells.len(), rows.len() * exp.configs.len());
+            assert_eq!(spec.cells[0].workload, rows[0]);
+            assert_eq!(spec.cells[0].config_name, exp.configs[0].0);
+            assert_eq!(spec.cells[0].config, exp.configs[0].1);
+        }
+    }
+
+    #[test]
+    fn workgen_submission_expands_kernels_and_the_generated_family() {
         let registry = config_registry();
         let spec = parse_submission("{\"experiment\": \"workgen\"}", &registry).unwrap();
         let family = wsrs_workgen::presets::standard_family();
-        assert_eq!(spec.cells.len(), family.len() * 3);
-        assert!(spec
-            .cells
+        assert_eq!(spec.cells.len(), (12 + family.len()) * 3);
+        assert!(spec.cells[12 * 3..]
             .iter()
             .all(|c| c.workload.name().starts_with("gen:")));
 
         // Parsing registered the family: its gen: names now resolve in a
         // plain cell submission too.
-        let name = spec.cells[0].workload.name();
+        let name = spec.cells[12 * 3].workload.name();
         let body = format!(
             "{{\"warmup\": 1000, \"measure\": 2000, \"cells\": [\
              {{\"workload\": \"{name}\", \"config\": \"RR 512\"}}]}}"
         );
         let cell_spec = parse_submission(&body, &registry).unwrap();
-        assert_eq!(cell_spec.cells[0].workload, spec.cells[0].workload);
+        assert_eq!(cell_spec.cells[0].workload, spec.cells[12 * 3].workload);
     }
 
     #[test]

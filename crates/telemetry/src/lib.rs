@@ -6,11 +6,10 @@
 //! forwarding bubbles, …). This crate is the measurement subsystem the
 //! rest of the workspace plugs into:
 //!
-//! * [`registry`] — [`Counter`], [`Histogram`] and [`PerCluster`]
-//!   primitives plus statically-registered counter definitions
-//!   ([`StatDef`]). All are plain-old-data: a disabled telemetry path
-//!   costs the simulator exactly one branch per cycle
-//!   (`Option<CycleAttribution>` is `None`).
+//! * [`registry`] — the [`Histogram`] primitive plus statically-registered
+//!   counter definitions ([`StatDef`]). Both are plain-old-data: a
+//!   disabled telemetry path costs the simulator exactly one branch per
+//!   cycle (`Option<CycleAttribution>` is `None`).
 //! * [`attr`] — [`SlotBucket`] and [`CycleAttribution`]: every
 //!   commit-width slot of every cycle is charged to exactly one bucket,
 //!   with the conservation invariant `sum(buckets) == cycles × width`
@@ -37,4 +36,4 @@ pub use json::Json;
 pub use manifest::{
     CellRecord, GateOutcome, RunManifest, SampledCell, Tolerances, TraceCacheStats, TraceRecord,
 };
-pub use registry::{Counter, Histogram, PerCluster, StatDef};
+pub use registry::{Histogram, StatDef};

@@ -39,7 +39,7 @@ use std::path::PathBuf;
 use wsrs_isa::fnv1a_64;
 
 use crate::file::TraceError;
-use crate::store::TraceStore;
+use crate::store::{write_atomic, TraceStore};
 
 /// Checkpoint file magic, embedding the first format generation.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"WSRSCKP1";
@@ -257,13 +257,7 @@ impl TraceStore {
     /// overwriting any previous file. Returns the bytes written.
     pub fn save_checkpoint(&self, record: &CheckpointRecord) -> Result<u64, TraceError> {
         let image = record.encode();
-        let name = record.key.file_name();
-        std::fs::create_dir_all(self.dir())?;
-        let tmp = self
-            .dir()
-            .join(format!("{name}.tmp.{}", std::process::id()));
-        std::fs::write(&tmp, &image)?;
-        std::fs::rename(&tmp, self.dir().join(name))?;
+        write_atomic(self.dir(), &record.key.file_name(), &image)?;
         Ok(image.len() as u64)
     }
 
@@ -406,6 +400,29 @@ mod tests {
         assert_eq!(
             store.checkpoint_entries().unwrap(),
             vec![store.checkpoint_path(&rec.key)]
+        );
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// Sibling sampled cells save the same checkpoint key at once; every
+    /// save must land a whole record, never collide on a shared temp file.
+    #[test]
+    fn concurrent_saves_of_one_key_all_succeed() {
+        let store = temp_store("concurrent");
+        let rec = record();
+        std::thread::scope(|s| {
+            let saves: Vec<_> = (0..8)
+                .map(|_| s.spawn(|| store.save_checkpoint(&rec)))
+                .collect();
+            for save in saves {
+                save.join().unwrap().expect("concurrent save");
+            }
+        });
+        assert_eq!(store.load_checkpoint(&rec.key).expect("load"), rec);
+        assert_eq!(
+            store.checkpoint_entries().unwrap(),
+            vec![store.checkpoint_path(&rec.key)],
+            "no temp file left behind"
         );
         let _ = std::fs::remove_dir_all(store.dir());
     }

@@ -55,5 +55,6 @@ pub use file::{
     encode, TraceError, TraceFile, TraceHeader, DEFAULT_BLOCK_UOPS, FORMAT_VERSION, MAGIC,
 };
 pub use store::{
-    LoadedTrace, SavedTrace, TraceKey, TraceStore, TRACE_DIR_ENV, TRACE_EXT, TRACE_STORE_ENV,
+    write_atomic, LoadedTrace, SavedTrace, TraceKey, TraceStore, TRACE_DIR_ENV, TRACE_EXT,
+    TRACE_STORE_ENV,
 };

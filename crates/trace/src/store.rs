@@ -3,10 +3,12 @@
 //! Files are named `{workload}-w{warmup}-m{measure}-{rev:016x}.wsrt`, so
 //! the lookup key *is* the filename: a kernel or emulator change alters
 //! `rev` and simply misses the stale file, which `trace rm --stale` can
-//! then garbage-collect. Saves are atomic (write to a temp file, then
-//! rename) so concurrent recorders never expose half-written traces.
+//! then garbage-collect. Saves are atomic ([`write_atomic`]: write to a
+//! temp file, then rename) so concurrent recorders never expose
+//! half-written traces.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use wsrs_isa::DynInst;
 
@@ -18,6 +20,28 @@ pub const TRACE_DIR_ENV: &str = "WSRS_TRACE_DIR";
 pub const TRACE_STORE_ENV: &str = "WSRS_TRACE_STORE";
 /// Extension of trace files inside a store directory.
 pub const TRACE_EXT: &str = "wsrt";
+
+/// Writes `bytes` to `dir/name` atomically: the bytes go to a temp file
+/// that no other write shares — `<name>.tmp.<pid>.<n>`, with `n` drawn
+/// from a process-wide counter — which is then renamed over the target.
+/// Concurrent writers of one name, in one process or several, each
+/// rename a complete file, and readers never see a partial one. Temp
+/// names never parse as store keys, so listings skip leftovers of a
+/// killed writer. Returns the target path.
+///
+/// # Errors
+///
+/// Propagates the underlying filesystem error.
+pub fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<PathBuf> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::fs::create_dir_all(dir)?;
+    let tmp = dir.join(format!("{name}.tmp.{}.{n}", std::process::id()));
+    std::fs::write(&tmp, bytes)?;
+    let path = dir.join(name);
+    std::fs::rename(&tmp, &path)?;
+    Ok(path)
+}
 
 /// The lookup key of one stored trace.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -169,13 +193,7 @@ impl TraceStore {
         };
         let image = file::encode(&header, uops);
         let checksum = file::checksum_of(&image);
-        let path = self.path_for(key);
-        std::fs::create_dir_all(&self.dir)?;
-        let tmp = self
-            .dir
-            .join(format!("{}.tmp.{}", key.file_name(), std::process::id()));
-        std::fs::write(&tmp, &image)?;
-        std::fs::rename(&tmp, &path)?;
+        let path = write_atomic(&self.dir, &key.file_name(), &image)?;
         Ok(SavedTrace {
             path,
             checksum,

@@ -112,8 +112,10 @@ fn batched_grid_matches_scalar_cells_byte_for_byte() {
         warmup: 20_000,
         measure: 40_000,
     };
-    let cache = TraceCache::new(params);
-    for threads in [1, 3] {
+    let threads_tried = [1, 3];
+    let uses = workloads.map(|w| (w, threads_tried.len())).into();
+    let cache = TraceCache::evicting_per_workload(params, uses);
+    for threads in threads_tried {
         let run = run_grid_with_threads(&workloads, &configs, params, threads, &|_, _, _, _| {});
         assert!(
             run.batched.iter().all(|&b| b),
@@ -137,18 +139,19 @@ fn batched_grid_matches_scalar_cells_byte_for_byte() {
 /// per-cell emulator did.
 #[test]
 fn cached_trace_matches_fresh_emulation() {
-    use wsrs_bench::{run_cell, run_cell_cached, RunParams, TraceCache};
+    use wsrs_bench::{run_cell_cached, RunParams, TraceCache};
 
     let params = RunParams {
         warmup: 10_000,
         measure: 20_000,
     };
     let cfg = SimConfig::conventional_rr(256);
-    let cache = TraceCache::new(params);
+    let cache = TraceCache::evicting_per_workload(params, [(Workload::Mcf, 1)].into());
     let trace = cache.checkout(Workload::Mcf);
     assert_eq!(trace.len(), 30_000);
     let cached = run_cell_cached(&trace, &cfg, params);
-    let fresh = run_cell(Workload::Mcf, &cfg, params);
+    let fresh =
+        Simulator::new(cfg).run_measured(Workload::Mcf.trace(), params.warmup, params.measure);
     assert_eq!(format!("{cached:?}"), format!("{fresh:?}"));
 }
 
