@@ -44,11 +44,14 @@ fn sim_throughput(c: &mut Criterion) {
 /// emulation cost is out of the loop and the event-driven wakeup/select
 /// logic dominates. `crafty` (high-ILP integer) stresses the ready pool;
 /// `mcf` (pointer chasing) stresses the producer→consumer wakeup path,
-/// since almost every slot waits in the calendar for a load. Each workload
-/// also runs pinned to the cycle-by-cycle loop (`<name>_no_skip`, the
-/// `WSRS_NO_SKIP=1` path) so the gain from event-horizon cycle skipping is
-/// measurable in isolation — the gap is largest on stall-heavy `mcf`,
-/// where most cycles are skippable memory stalls.
+/// since almost every slot waits in the calendar for a load; `applu`
+/// (memory-serialized FP) stresses memory-order parking, since most of its
+/// operand-ready loads and stores wait behind their thread's memory-order
+/// head. Each workload also runs pinned to the cycle-by-cycle loop
+/// (`<name>_no_skip`, the `WSRS_NO_SKIP=1` path) so the gain from
+/// event-horizon cycle skipping is measurable in isolation — the gap is
+/// largest on stall-heavy `mcf`, where most cycles are skippable memory
+/// stalls.
 fn simulator_issue(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulator_issue");
     g.throughput(Throughput::Elements(UOPS));
@@ -59,7 +62,7 @@ fn simulator_issue(c: &mut Criterion) {
         AllocPolicy::RandomCommutative,
         RenameStrategy::ExactCount,
     );
-    for w in [Workload::Crafty, Workload::Mcf] {
+    for w in [Workload::Crafty, Workload::Mcf, Workload::Applu] {
         let trace: Vec<_> = w.trace().take(UOPS as usize).collect();
         g.bench_with_input(BenchmarkId::from_parameter(w.name()), &trace, |b, trace| {
             b.iter(|| {

@@ -52,6 +52,9 @@ const IN_FLIGHT: u64 = u64::MAX;
 /// Sentinel for "not a memory µop" in the window's `mem_seq` lane.
 const MEM_NONE: u64 = u64::MAX;
 
+/// Sentinel for an empty entry of the event scheduler's parking ring.
+const PARK_NONE: u64 = u64::MAX;
+
 /// Cycles of continuous blocked-and-empty rename before declaring
 /// deadlock. With an empty window nothing can commit, so the only registers
 /// that can still appear are the ones maturing out of the strategy-1
@@ -354,6 +357,11 @@ pub(crate) struct Engine<'a> {
     /// thread (addresses are computed in order within a thread, §5.2).
     mem_next_issue: Vec<u64>,
     mem_next_assign: Vec<u64>,
+    /// Event scheduler: awake loads and stores that are not their
+    /// thread's memory-order head, held off the ready planes until the
+    /// head issues. Indexed by [`Self::park_slot`]; holds the parked µop's
+    /// sequence number, or [`PARK_NONE`].
+    parked: Vec<u64>,
     seq_next: u64,
     fetch_id_next: u64,
     thread_retired: Vec<u64>,
@@ -445,6 +453,8 @@ impl<'a> Engine<'a> {
                 used: [count_arch(RegClass::Int), count_arch(RegClass::Fp)],
             }
         });
+        let rob = Rob::new(cfg.rob_size(), cfg.clusters);
+        let parked = vec![PARK_NONE; cfg.threads * rob.capacity()];
         Engine {
             cfg,
             cycle: 0,
@@ -454,7 +464,7 @@ impl<'a> Engine<'a> {
             clusters: (0..cfg.clusters)
                 .map(|i| ClusterState::with_resources(cfg.resources[i.min(3)]))
                 .collect(),
-            rob: Rob::new(cfg.rob_size(), cfg.clusters),
+            rob,
             reg_info,
             fetch_bufs: (0..cfg.threads)
                 .map(|_| VecDeque::with_capacity(4 * cfg.fetch_width))
@@ -463,6 +473,7 @@ impl<'a> Engine<'a> {
             store_queues: vec![StoreQueue::new(); cfg.threads],
             mem_next_issue: vec![0; cfg.threads],
             mem_next_assign: vec![0; cfg.threads],
+            parked,
             seq_next: 0,
             fetch_id_next: 0,
             thread_retired: vec![0; cfg.threads],
@@ -686,9 +697,14 @@ impl<'a> Engine<'a> {
     /// Runs at the end of a stepped cycle, so the machine is in its
     /// settled end-of-cycle state. The proof obligations, per stage:
     ///
-    /// * **issue** — no µop is awake (`ready_count == 0`), and the wheel
-    ///   delivers nothing before the target
-    ///   ([`CalendarWheel::next_due_before`]);
+    /// * **issue** — no µop is selectable (`ready_count == 0`), and the
+    ///   wheel delivers nothing before the target
+    ///   ([`CalendarWheel::next_due_before`]). Loads and stores parked
+    ///   behind their thread's memory-order head may be awake: one becomes
+    ///   selectable only when its head issues, and the head (never
+    ///   parked) is not selectable now, so it must first be woken — by a
+    ///   wheel event, directly or through a producer that issues on one,
+    ///   and every wheel event already caps the target;
     /// * **commit** — the head is not done, or completes no earlier than
     ///   the target (a done head with `done_cycle ≤ cycle + 1` vetoes);
     /// * **fetch** — every live thread is redirect-blocked (resume cycles
@@ -1467,29 +1483,44 @@ impl<'a> Engine<'a> {
         self.redirect_buf.clear();
     }
 
-    /// Event-driven selection: only µops whose operands are known-usable
-    /// (tracked through intrusive waiter lists and the completion wheel)
-    /// are examined, in ascending seq order — the same oldest-first order
-    /// the scan produces, so all issue-time side effects (FU reservation,
-    /// memory-order advancement, cache accesses) happen identically.
+    /// Event-driven selection: only µops that can issue this cycle —
+    /// operands known-usable (tracked through intrusive waiter lists and
+    /// the completion wheel) and, for loads and stores, at their thread's
+    /// memory-order head — are examined, in ascending seq order: the same
+    /// oldest-first order the scan produces, so all issue-time side effects
+    /// (FU reservation, memory-order advancement, cache accesses) happen
+    /// identically.
     ///
-    /// Awake µops live in the window's per-cluster ready bitmaps
-    /// ([`Rob::set_ready`]): the wheel wakes by setting a bit, and select
-    /// is an age-ordered `trailing_zeros` walk over the planes of clusters
-    /// that still own an issue slot — a cluster whose width is spent drops
-    /// out of the mask, narrowing the select exactly as the paper's
-    /// specialized windows do. A µop passed over (memory-order gate or FU
-    /// contention) keeps its bit and is excluded for the rest of the cycle
-    /// by the advancing `from` cursor, never re-examined.
+    /// Selectable µops live in the window's per-cluster ready bitmaps
+    /// ([`Rob::set_ready`]), and select is an age-ordered `trailing_zeros`
+    /// walk over the planes of clusters that still own an issue slot — a
+    /// cluster whose width is spent drops out of the mask, narrowing the
+    /// select exactly as the paper's specialized windows do. The wheel
+    /// wakes a µop by setting its bit, except a load or store behind its
+    /// thread's memory-order head, which is *parked* in [`Self::parked`]
+    /// instead. When the head issues, the next memory µop of its thread
+    /// is promoted if parked: it gains its bit at a younger position than
+    /// the cursor, so this cycle's walk still reaches it exactly where the
+    /// scan would. A µop passed over for FU contention keeps its bit and
+    /// is probed again next cycle.
     fn issue_event(&mut self) {
         self.due_buf.clear();
         self.wheel.drain_due(self.cycle, &mut self.due_buf);
         if !self.due_buf.is_empty() {
             let front_seq = self.rob.seq_front();
             for k in 0..self.due_buf.len() {
-                let idx = (self.due_buf[k] - front_seq) as usize;
+                let seq = self.due_buf[k];
+                let idx = (seq - front_seq) as usize;
                 debug_assert!(!self.rob.is_done(idx));
-                self.rob.set_ready(idx);
+                let mem_seq = self.rob.mem_seq(idx);
+                let tid = self.rob.thread(idx) as usize;
+                if mem_seq != MEM_NONE && mem_seq != self.mem_next_issue[tid] {
+                    let slot = self.park_slot(tid, mem_seq);
+                    debug_assert_eq!(self.parked[slot], PARK_NONE, "parking ring collision");
+                    self.parked[slot] = seq;
+                } else {
+                    self.rob.set_ready(idx);
+                }
             }
         }
         if self.rob.ready_count() == 0 {
@@ -1514,13 +1545,21 @@ impl<'a> Engine<'a> {
             debug_assert!(self.srcs_ready(self.rob.srcs(idx), self.rob.cluster(idx)));
             let cluster = self.rob.cluster(idx) as usize;
             let mem_seq = self.rob.mem_seq(idx);
-            let gates_ok = mem_seq == MEM_NONE
-                || mem_seq == self.mem_next_issue[self.rob.thread(idx) as usize];
-            if !gates_ok || !self.clusters[cluster].try_issue(self.rob.class(idx), self.cycle) {
+            let tid = self.rob.thread(idx) as usize;
+            debug_assert!(mem_seq == MEM_NONE || mem_seq == self.mem_next_issue[tid]);
+            if !self.clusters[cluster].try_issue(self.rob.class(idx), self.cycle) {
                 continue;
             }
             self.rob.clear_ready(idx);
             self.complete_issue(idx);
+            if mem_seq != MEM_NONE {
+                // `complete_issue` advanced the thread's memory order.
+                let slot = self.park_slot(tid, self.mem_next_issue[tid]);
+                let next = std::mem::replace(&mut self.parked[slot], PARK_NONE);
+                if next != PARK_NONE {
+                    self.rob.set_ready((next - front_seq) as usize);
+                }
+            }
             if !self.clusters[cluster].has_issue_slot() {
                 avail &= !(1 << cluster);
             }
@@ -1568,6 +1607,15 @@ impl<'a> Engine<'a> {
         }
         self.dest_updates.clear();
         self.apply_redirects();
+    }
+
+    /// Index into [`Self::parked`] of thread `tid`'s memory µop `mem_seq`:
+    /// one ring of window capacity per thread. The capacity bounds a
+    /// thread's unissued memory µops, so live `mem_seq`s never collide.
+    #[inline]
+    fn park_slot(&self, tid: usize, mem_seq: u64) -> usize {
+        let ring = self.rob.capacity();
+        tid * ring + (mem_seq as usize & (ring - 1))
     }
 
     /// A waiting µop that does not issue this scan iteration keeps a
@@ -2645,6 +2693,128 @@ mod tests {
             e.run_inner(traces, 0, None)
         };
         assert_eq!(format!("{:?}", run(false)), format!("{:?}", run(true)));
+
+        // Loads and stores in both threads: each thread's memory order
+        // parks its own µops, and a head issuing in one thread must never
+        // promote the other's.
+        let smt = crate::config::SimConfigBuilder::from(SimConfig::wsrs(
+            512,
+            AllocPolicy::RandomCommutative,
+            RenameStrategy::ExactCount,
+        ))
+        .threads(2)
+        .deadlock_recovery(true)
+        .build();
+        let traces = || {
+            vec![
+                Emulator::new(mem_loop(300, 8192).assemble(), 1 << 20),
+                Emulator::new(mem_loop(250, 64).assemble(), 1 << 20),
+            ]
+        };
+        let (_, skip) = step_run(&smt, traces(), true, false);
+        let (none, no_skip) = step_run(&smt, traces(), false, false);
+        let (_, scan) = step_run(&smt, traces(), false, true);
+        assert_eq!(none, 0);
+        assert!(skip.store_forwards > 0 && skip.memory.l1.misses > 0);
+        assert_eq!(format!("{skip:?}"), format!("{scan:?}"));
+        assert_eq!(format!("{no_skip:?}"), format!("{scan:?}"));
+    }
+
+    /// Steps `cfg` over `traces` (one per hardware thread) to completion,
+    /// returning the cycles skipped and the report.
+    fn step_run<T: Iterator<Item = DynInst>>(
+        cfg: &SimConfig,
+        traces: Vec<T>,
+        allow_skip: bool,
+        force_scan: bool,
+    ) -> (u64, Report) {
+        let mut e = Engine::new(cfg);
+        e.allow_skip = allow_skip; // independent of the process env
+        e.force_scan = force_scan;
+        let mut stream = PredictedIters::new(traces, cfg.predictor.build());
+        while e.step(&mut stream) {}
+        (e.skipped_cycles, e.finish(None))
+    }
+
+    /// A loop interleaving loads and stores: a strided load feeds a
+    /// multiply whose product is stored, and the loads and stores behind
+    /// that store have their operands long before it issues, so they wait
+    /// on memory order alone.
+    fn mem_loop(iters: i64, stride: i64) -> Assembler {
+        let mut a = Assembler::new();
+        let (b, x, y, z, acc) = (
+            Reg::new(1),
+            Reg::new(2),
+            Reg::new(3),
+            Reg::new(4),
+            Reg::new(5),
+        );
+        let (i, n) = (Reg::new(60), Reg::new(61));
+        a.li(b, 0x1000);
+        a.li(acc, 1);
+        a.li(i, 0);
+        a.li(n, iters);
+        let top = a.bind_label();
+        a.lw(x, b, 0);
+        a.mul(acc, acc, x);
+        a.sw(b, 8, acc);
+        a.lw(y, b, 16);
+        a.lw(z, b, 8);
+        a.sw(b, 24, y);
+        a.add(z, z, y);
+        a.addi(b, b, stride);
+        a.addi(i, i, 1);
+        a.blt(i, n, top);
+        a.halt();
+        a
+    }
+
+    /// The parking regression: a load whose address waits on an L2 miss
+    /// holds its thread's memory order while dozens of operand-ready
+    /// loads and stores queue behind it. Parked off the ready planes,
+    /// they leave nothing selectable, so the window-blocked miss shadow
+    /// is skippable — and the report must not notice.
+    #[test]
+    fn parked_memory_uops_leave_miss_shadows_skippable() {
+        let mut cfg = SimConfig::conventional_rr(256);
+        cfg.telemetry = true;
+        let mut a = Assembler::new();
+        let (b, c, p, q, r, i, n) = (
+            Reg::new(1),
+            Reg::new(2),
+            Reg::new(3),
+            Reg::new(4),
+            Reg::new(5),
+            Reg::new(60),
+            Reg::new(61),
+        );
+        a.li(b, 0);
+        a.li(c, 0x80_0000);
+        a.li(i, 0);
+        a.li(n, 60);
+        let top = a.bind_label();
+        a.lw(p, b, 0); // a fresh L2 set every iteration: misses
+        a.add(q, b, p);
+        a.lw(r, q, 8); // memory-order head until the miss returns
+        for k in 0..8 {
+            a.lw(Reg::new(10 + k), c, 16 * i64::from(k));
+            a.sw(c, 16 * i64::from(k) + 8, c);
+        }
+        a.addi(b, b, 8192);
+        a.addi(i, i, 1);
+        a.blt(i, n, top);
+        a.halt();
+        let prog = a.assemble();
+        let trace = || vec![Emulator::new(prog.clone(), 1 << 24)];
+        let (skipped, fast) = step_run(&cfg, trace(), true, false);
+        let (none, slow) = step_run(&cfg, trace(), false, false);
+        let (_, scan) = step_run(&cfg, trace(), false, true);
+        assert!(fast.memory.l2.misses >= 60, "kernel must miss L2");
+        assert_eq!(none, 0, "no-skip engine must not skip");
+        assert!(skipped > 0, "parked µops must not veto skipping");
+        assert!(fast.attribution.as_ref().expect("telemetry on").conserved());
+        assert_eq!(format!("{fast:?}"), format!("{slow:?}"));
+        assert_eq!(format!("{fast:?}"), format!("{scan:?}"));
     }
 
     /// Completion delays beyond the calendar wheel's ring take the
@@ -2718,15 +2888,12 @@ mod tests {
         a.halt();
         let prog = a.assemble();
         let run = |allow_skip: bool| {
-            let mut e = Engine::new(&cfg);
-            e.allow_skip = allow_skip; // independent of the process env
-            let mut stream = PredictedIters::new(
+            step_run(
+                &cfg,
                 vec![Emulator::new(prog.clone(), 1 << 20)],
-                cfg.predictor.build(),
-            );
-            while e.step(&mut stream) {}
-            let skipped = e.skipped_cycles;
-            (skipped, e.finish(None))
+                allow_skip,
+                false,
+            )
         };
         let (skipped, fast) = run(true);
         let (none, slow) = run(false);
@@ -2768,14 +2935,12 @@ mod tests {
         a.halt();
         let prog = a.assemble();
         let run = |allow_skip: bool| {
-            let mut e = Engine::new(&cfg);
-            e.allow_skip = allow_skip;
-            let mut stream = PredictedIters::new(
+            step_run(
+                &cfg,
                 vec![Emulator::new(prog.clone(), 1 << 20)],
-                cfg.predictor.build(),
-            );
-            while e.step(&mut stream) {}
-            (e.skipped_cycles, e.finish(None))
+                allow_skip,
+                false,
+            )
         };
         let (skipped, fast) = run(true);
         let (_, slow) = run(false);

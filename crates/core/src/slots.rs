@@ -153,8 +153,10 @@ pub(crate) struct Rob {
     /// Per-cluster ready bitmaps over *physical* ring positions — the
     /// software analogue of the paper's narrowed select. One plane of
     /// `ready_words` words per cluster; bit `p` of plane `c` is set while
-    /// the µop in ring slot `p` (which steered to cluster `c`) is awake
-    /// and awaiting issue. Physical positions are stable for a slot's
+    /// the µop in ring slot `p` (which steered to cluster `c`) is
+    /// selectable: awake and, for a load or store, its thread's
+    /// memory-order head (the engine parks other awake memory µops off
+    /// the planes). Physical positions are stable for a slot's
     /// lifetime, so a set bit never has to move; age order is recovered
     /// by scanning words from `head` around the ring.
     ready: Vec<u64>,
@@ -210,6 +212,12 @@ impl Rob {
     #[inline]
     pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Ring capacity: a power of two no smaller than the window.
+    #[inline]
+    pub(crate) fn capacity(&self) -> usize {
+        self.mask + 1
     }
 
     /// Sequence number of the oldest slot. Meaningless when empty.
@@ -371,14 +379,14 @@ impl Rob {
         (link, self.pending_srcs[p])
     }
 
-    /// Ready µops currently awaiting selection, across all clusters.
+    /// Selectable µops currently awaiting issue, across all clusters.
     #[inline]
     pub(crate) fn ready_count(&self) -> usize {
         self.ready_count
     }
 
-    /// Marks slot `i` awake: its cluster's plane gains the slot's ring
-    /// bit. The slot must not already be marked.
+    /// Marks slot `i` selectable: its cluster's plane gains the slot's
+    /// ring bit. The slot must not already be marked.
     #[inline]
     pub(crate) fn set_ready(&mut self, i: usize) {
         let p = self.at(i);
