@@ -38,4 +38,4 @@ pub mod server;
 
 pub use memo::{GcReport, MemoKey, MemoStats, MemoStore};
 pub use proto::{parse_submission, stream_header, JobSpec};
-pub use server::{install_signal_handlers, Server, ServerOptions};
+pub use server::{install_signal_handlers, Server, ServerOptions, READ_TIMEOUT};

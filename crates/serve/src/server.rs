@@ -29,7 +29,7 @@
 //! grid is byte-identical regardless of concurrency or store warmth.
 
 use std::collections::HashMap;
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -46,9 +46,20 @@ use crate::http::{read_request, respond, respond_error, ChunkedWriter, Request};
 use crate::memo::{MemoKey, MemoStore};
 use crate::proto::{parse_submission, stream_header, JobSpec};
 
-/// How often blocked loops (accept, slot waits, idle workers) re-check
-/// the shutdown flag.
+/// How often the signal watcher re-checks [`TERMINATED`]. Every other
+/// wait (accept, slot waits, idle workers) ends on its own event.
 const POLL: Duration = Duration::from_millis(25);
+
+/// How long an accepted connection may stay silent while its request is
+/// read. Without it a client that connects and never sends would hold a
+/// handler thread, and with it [`Server::run`], forever. Responses are
+/// written untimed, so a slow reader of a long stream is never cut off.
+pub const READ_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Pause after a failed `accept` (a client that reset first, or no file
+/// descriptors left), so a lasting failure does not spin a core. No
+/// request waits on it: a failed accept has no request.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 
 /// Process-global termination request, set by the SIGTERM/SIGINT handler
 /// installed with [`install_signal_handlers`].
@@ -120,12 +131,14 @@ impl Slot {
         }
     }
 
-    /// The finished line, if available.
-    fn peek(&self) -> Option<String> {
-        self.line.lock().unwrap().clone()
+    /// Whether the line has landed (without cloning it).
+    fn is_done(&self) -> bool {
+        self.line.lock().unwrap().is_some()
     }
 
-    /// Blocks until the slot fills or `give_up` returns true.
+    /// Blocks until the slot fills or `give_up` returns true. Whoever
+    /// makes `give_up` true must then notify `ready` under the `line`
+    /// lock ([`ServerState::stop`] does), so the check cannot miss it.
     fn wait(&self, give_up: &dyn Fn() -> bool) -> Option<String> {
         let mut guard = self.line.lock().unwrap();
         loop {
@@ -135,7 +148,7 @@ impl Slot {
             if give_up() {
                 return None;
             }
-            guard = self.ready.wait_timeout(guard, POLL).unwrap().0;
+            guard = self.ready.wait(guard).unwrap();
         }
     }
 }
@@ -150,10 +163,10 @@ enum CellState {
 }
 
 impl CellState {
-    fn line_now(&self) -> Option<String> {
+    fn is_done(&self) -> bool {
         match self {
-            CellState::Memoized(line) => Some(line.clone()),
-            CellState::Pending(slot) => slot.peek(),
+            CellState::Memoized(_) => true,
+            CellState::Pending(slot) => slot.is_done(),
         }
     }
 }
@@ -220,20 +233,55 @@ struct ServerState {
     inflight: Mutex<HashMap<DedupKey, Arc<Slot>>>,
     /// Active simulation runs workers claim units from.
     runs: Mutex<Vec<Arc<JobRun>>>,
+    /// Notified, under the `runs` lock, when a run is added, the pool
+    /// resumes, or the server stops.
     work: Condvar,
     paused: AtomicBool,
     shutdown: AtomicBool,
+    /// Where [`ServerState::stop`] connects to wake the blocked accept:
+    /// the listener's address, with an unspecified IP made loopback.
+    wake_addr: SocketAddr,
     /// Known trace-file checksums by store key (memo lookups need them
     /// before simulating; each file is hashed at most once).
     trace_checksums: Mutex<HashMap<(Workload, u64, u64), u64>>,
     /// Units executed by the worker pool (scalar cells and whole
-    /// lockstep batches both count one).
+    /// lockstep batches both count one), counted as the unit's first
+    /// line lands.
     units_run: AtomicU64,
 }
 
 impl ServerState {
     fn stopping(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst) || TERMINATED.load(Ordering::SeqCst)
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// The one stop path (shutdown handle, `POST /v1/control/shutdown`,
+    /// the signal watcher): raises the flag, then wakes every waiter on
+    /// it — idle workers, streams blocked on unfinished slots, and the
+    /// blocked accept. Each notify happens under the lock its waiter
+    /// checks the flag under, so no wake-up is lost. Idempotent.
+    fn stop(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        {
+            let _runs = self.runs.lock().unwrap();
+            self.work.notify_all();
+        }
+        // Every unfilled slot is in flight (a slot leaves the map only
+        // once its line lands), so this reaches every blocked stream.
+        for slot in self.inflight.lock().unwrap().values() {
+            let _line = slot.line.lock().unwrap();
+            slot.ready.notify_all();
+        }
+        // The accept loop checks the flag after each accepted
+        // connection; hand it one. Failure means nobody is accepting.
+        let _ = TcpStream::connect(self.wake_addr);
+    }
+
+    /// Lets the worker pool claim again.
+    fn resume(&self) {
+        let _runs = self.runs.lock().unwrap();
+        self.paused.store(false, Ordering::SeqCst);
+        self.work.notify_all();
     }
 
     /// The content checksum of the stored trace for (workload, window),
@@ -321,42 +369,34 @@ impl ServerState {
         id
     }
 
-    /// Worker body: claim units across active runs until shutdown.
+    /// Worker body: claim units across active runs until shutdown. The
+    /// claim attempt and the wait share one `runs` guard, so a run pushed
+    /// or a resume issued in between still wakes the worker.
     fn worker(self: &Arc<Self>) {
+        let mut runs = self.runs.lock().unwrap();
         loop {
             if self.stopping() {
                 return;
             }
-            if self.paused.load(Ordering::SeqCst) {
-                let guard = self.runs.lock().unwrap();
-                drop(self.work.wait_timeout(guard, POLL).unwrap().0);
-                continue;
-            }
-            let claimed = {
-                let mut runs = self.runs.lock().unwrap();
-                let mut claimed = None;
-                while let Some(run) = runs.first().cloned() {
-                    if let Some(unit) = run.queue.claim() {
-                        claimed = Some((run, unit));
-                        break;
-                    }
-                    // Fully claimed; drop it from the scan list (workers
-                    // holding its Arc finish their units regardless).
-                    runs.remove(0);
-                }
-                claimed
-            };
-            match claimed {
-                Some((run, unit)) => {
-                    let sink = |r: CellResult| self.finish_cell(&run, r);
+            if !self.paused.load(Ordering::SeqCst) {
+                if let Some((run, unit)) = claim(&mut runs) {
+                    drop(runs);
+                    // Count the unit before its first line is published,
+                    // so a client that has read the line also finds the
+                    // unit in `/v1/stats`.
+                    let counted = AtomicBool::new(false);
+                    let sink = |r: CellResult| {
+                        if !counted.swap(true, Ordering::Relaxed) {
+                            self.units_run.fetch_add(1, Ordering::Relaxed);
+                        }
+                        self.finish_cell(&run, r);
+                    };
                     run.queue.run_unit(unit, &run.cache, &sink);
-                    self.units_run.fetch_add(1, Ordering::Relaxed);
-                }
-                None => {
-                    let guard = self.runs.lock().unwrap();
-                    drop(self.work.wait_timeout(guard, POLL).unwrap().0);
+                    runs = self.runs.lock().unwrap();
+                    continue;
                 }
             }
+            runs = self.work.wait(runs).unwrap();
         }
     }
 
@@ -423,6 +463,19 @@ impl ServerState {
     }
 }
 
+/// Claims the next unit from the first run that has one, dropping fully
+/// claimed runs from the scan list (workers holding a run's `Arc` finish
+/// their units regardless).
+fn claim(runs: &mut Vec<Arc<JobRun>>) -> Option<(Arc<JobRun>, usize)> {
+    while let Some(run) = runs.first().cloned() {
+        if let Some(unit) = run.queue.claim() {
+            return Some((run, unit));
+        }
+        runs.remove(0);
+    }
+    None
+}
+
 /// The HTTP job server. [`Server::bind`], then [`Server::run`] (blocking
 /// — spawn a thread to run it in-process).
 pub struct Server {
@@ -445,7 +498,14 @@ impl Server {
             let _ = wsrs_workgen::register(&s.profile, s.seed);
         }
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(if wake_addr.is_ipv4() {
+                Ipv4Addr::LOCALHOST.into()
+            } else {
+                Ipv6Addr::LOCALHOST.into()
+            });
+        }
         Ok(Server {
             listener,
             state: Arc::new(ServerState {
@@ -460,6 +520,7 @@ impl Server {
                 work: Condvar::new(),
                 paused: AtomicBool::new(opts.paused),
                 shutdown: AtomicBool::new(false),
+                wake_addr,
                 trace_checksums: Mutex::new(HashMap::new()),
                 units_run: AtomicU64::new(0),
             }),
@@ -481,46 +542,59 @@ impl Server {
     /// claimed cells finish, the memo store flushes, streams close.
     pub fn shutdown_handle(&self) -> impl Fn() + Send + Sync + 'static {
         let state = self.state.clone();
-        move || {
-            state.shutdown.store(true, Ordering::SeqCst);
-        }
+        move || state.stop()
     }
 
     /// Serves until a shutdown is requested (SIGTERM/SIGINT via
     /// [`install_signal_handlers`], [`Server::shutdown_handle`], or
     /// `POST /v1/control/shutdown`), with `workers` simulation threads.
-    /// Returns after the workers have finished their claimed units.
+    /// Returns after the workers have finished their claimed units and
+    /// every connection has been answered or, if idle, has timed out
+    /// after [`READ_TIMEOUT`].
     pub fn run(self, workers: usize) {
-        let state = self.state;
+        let Server { listener, state } = self;
         std::thread::scope(|s| {
             for _ in 0..workers.max(1) {
                 let state = state.clone();
                 s.spawn(move || state.worker());
             }
-            loop {
+            // A signal handler may only set a flag, so one thread turns
+            // that flag into a stop.
+            s.spawn(|| {
+                while !state.stopping() {
+                    if TERMINATED.load(Ordering::SeqCst) {
+                        state.stop();
+                        return;
+                    }
+                    std::thread::sleep(POLL);
+                }
+            });
+            for conn in listener.incoming() {
                 if state.stopping() {
                     break;
                 }
-                match self.listener.accept() {
-                    Ok((stream, _)) => {
+                match conn {
+                    Ok(stream) => {
                         let state = state.clone();
                         s.spawn(move || handle_connection(&state, &stream));
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(POLL);
+                    Err(e) => {
+                        eprintln!("wsrs-serve: accept: {e}");
+                        std::thread::sleep(ACCEPT_RETRY);
                     }
-                    Err(_) => std::thread::sleep(POLL),
                 }
             }
-            // Propagate the stop to slot waiters and idle workers.
-            state.shutdown.store(true, Ordering::SeqCst);
-            state.work.notify_all();
+            // Refuse new clients while the drain runs.
+            drop(listener);
         });
     }
 }
 
 /// Routes one connection's request.
 fn handle_connection(state: &Arc<ServerState>, stream: &TcpStream) {
+    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
+        return;
+    }
     let Some(req) = read_request(stream) else {
         return;
     };
@@ -543,14 +617,12 @@ fn route(state: &Arc<ServerState>, stream: &TcpStream, req: &Request) -> std::io
             &stats_json(state).to_string_compact(),
         ),
         ("POST", "/v1/control/resume") => {
-            state.paused.store(false, Ordering::SeqCst);
-            state.work.notify_all();
+            state.resume();
             respond(stream, "200 OK", "application/json", "{\"paused\":false}")
         }
         ("POST", "/v1/control/shutdown") => {
             respond(stream, "200 OK", "application/json", "{\"stopping\":true}")?;
-            state.shutdown.store(true, Ordering::SeqCst);
-            state.work.notify_all();
+            state.stop();
             Ok(())
         }
         ("GET", path) => {
@@ -602,7 +674,7 @@ fn handle_status(
     let Some(job) = job_of(state, id_str) else {
         return respond_error(stream, "404 Not Found", "no such job");
     };
-    let completed = job.states.iter().filter(|s| s.line_now().is_some()).count();
+    let completed = job.states.iter().filter(|s| s.is_done()).count();
     let body = Json::Obj(vec![
         ("cells".to_string(), Json::UInt(job.states.len() as u64)),
         ("completed".to_string(), Json::UInt(completed as u64)),

@@ -2,19 +2,27 @@
 //! concurrent identical submissions dedupe onto one simulation per
 //! distinct cell, every client streams byte-identical manifests,
 //! resubmission is pure memo replay, and graceful shutdown leaves no
-//! partial memo entries behind.
+//! partial memo entries behind. Requests and memo replays answer at
+//! once, and shutdown is prompt even with an idle client connected.
 
+use std::io::Read;
+use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use wsrs_bench::client;
-use wsrs_serve::{MemoKey, Server, ServerOptions};
+use wsrs_serve::{MemoKey, Server, ServerOptions, READ_TIMEOUT};
 use wsrs_telemetry::Json;
 
 /// A tiny two-cell grid (distinct workloads, so two scalar units).
 const GRID: &str = "{\"warmup\": 2000, \"measure\": 4000, \"cells\": [\
     {\"workload\": \"gzip\", \"config\": \"RR 256\"},\
     {\"workload\": \"mcf\", \"config\": \"WSRS RC S 512\"}]}";
+
+/// A one-cell grid: one POST and one stream per job.
+const ONE_CELL: &str = "{\"warmup\": 2000, \"measure\": 4000, \"cells\": [\
+    {\"workload\": \"gzip\", \"config\": \"RR 256\"}]}";
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("wsrs-serve-test-{tag}-{}", std::process::id()));
@@ -58,6 +66,11 @@ fn wait_done(addr: &str, job: u64) {
         assert!(Instant::now() < deadline, "job {job} never finished: {s:?}");
         std::thread::sleep(Duration::from_millis(20));
     }
+}
+
+fn median(mut samples: Vec<Duration>) -> Duration {
+    samples.sort();
+    samples[samples.len() / 2]
 }
 
 #[test]
@@ -216,6 +229,133 @@ fn bad_submissions_and_unknown_jobs_are_rejected() {
 
     shutdown();
     server_thread.join().expect("server thread");
+    let _ = std::fs::remove_dir_all(&memo_dir);
+    let _ = std::fs::remove_dir_all(&trace_dir);
+}
+
+#[test]
+fn requests_and_memo_replays_answer_without_polling_delay() {
+    let memo_dir = temp_dir("memo-floor");
+    let trace_dir = temp_dir("traces-floor");
+    let opts = ServerOptions {
+        workers: 1,
+        paused: false,
+        memo_dir: memo_dir.clone(),
+        trace_dir: trace_dir.clone(),
+    };
+    let server = Server::bind("127.0.0.1:0", &opts).expect("bind");
+    let addr = server.addr().to_string();
+    let shutdown = server.shutdown_handle();
+    let server_thread = std::thread::spawn(move || server.run(1));
+
+    // The request floor of an idle server: each connection is accepted
+    // the moment it arrives, not on the next tick of a polling loop.
+    let floor = median(
+        (0..21)
+            .map(|_| {
+                let t = Instant::now();
+                assert_eq!(client::get(&addr, "/v1/stats").unwrap().status, 200);
+                t.elapsed()
+            })
+            .collect(),
+    );
+    assert!(
+        floor < Duration::from_millis(5),
+        "stats round trip {floor:?}"
+    );
+
+    // Simulate the cell once, then time memo replays end to end: POST,
+    // then the stream to its last line.
+    let fresh = submit(&addr, ONE_CELL);
+    let expected = stream(&addr, fresh);
+    assert_eq!(expected.lines().count(), 2, "{expected}");
+    let mut last = fresh;
+    let replay = median(
+        (0..5)
+            .map(|_| {
+                let t = Instant::now();
+                last = submit(&addr, ONE_CELL);
+                assert_eq!(stream(&addr, last), expected);
+                t.elapsed()
+            })
+            .collect(),
+    );
+    assert_eq!(status_field(&addr, last, "memoized"), 1);
+    assert!(
+        replay < Duration::from_millis(5),
+        "memo replay job {replay:?}"
+    );
+
+    shutdown();
+    server_thread.join().expect("server thread");
+    let _ = std::fs::remove_dir_all(&memo_dir);
+    let _ = std::fs::remove_dir_all(&trace_dir);
+}
+
+#[test]
+fn shutdown_is_prompt_with_a_waiting_stream_and_an_idle_client() {
+    let memo_dir = temp_dir("memo-stop");
+    let trace_dir = temp_dir("traces-stop");
+    let opts = ServerOptions {
+        workers: 1,
+        paused: true, // the job's cell is never claimed
+        memo_dir: memo_dir.clone(),
+        trace_dir: trace_dir.clone(),
+    };
+    let server = Server::bind("127.0.0.1:0", &opts).expect("bind");
+    let addr = server.addr().to_string();
+    let shutdown = server.shutdown_handle();
+    let (returned_tx, returned_rx) = mpsc::channel();
+    let server_thread = std::thread::spawn(move || {
+        server.run(1);
+        let _ = returned_tx.send(());
+    });
+
+    // A stream that has sent its header and now waits on the unclaimed
+    // cell.
+    let job = submit(&addr, ONE_CELL);
+    let (header_tx, header_rx) = mpsc::channel();
+    let streamer = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            client::get_streaming(&addr, &format!("/v1/jobs/{job}/stream"), &mut |_| {
+                let _ = header_tx.send(());
+            })
+        })
+    };
+    header_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("stream header");
+
+    // A client that connects and never sends. Accepts are sequential, so
+    // once the next request is answered the idle one has a handler.
+    let mut idle = TcpStream::connect(&addr).expect("idle connect");
+    assert_eq!(client::get(&addr, "/v1/stats").unwrap().status, 200);
+
+    shutdown();
+    returned_rx
+        .recv_timeout(READ_TIMEOUT + Duration::from_secs(2))
+        .expect("run did not return within the read timeout plus 2 s");
+    server_thread.join().expect("server thread");
+
+    // The waiting stream ended early with complete lines only: the
+    // header, and no line for the cell that never ran.
+    let resp = streamer.join().unwrap().expect("stream ends cleanly");
+    assert_eq!(resp.status, 200);
+    let body = resp.body_str();
+    assert!(body.ends_with('\n'), "partial line: {body:?}");
+    let lines: Vec<&str> = body.lines().collect();
+    assert_eq!(lines.len(), 1, "{body}");
+    assert!(Json::parse(lines[0]).is_ok(), "{body}");
+
+    // The idle client was closed, not left hanging.
+    idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut buf = [0u8; 1];
+    assert_eq!(idle.read(&mut buf).expect("closed, not timed out"), 0);
+
+    // Nothing ran, so nothing may have been written, partial or not.
+    let memo_files = std::fs::read_dir(&memo_dir).map_or(0, Iterator::count);
+    assert_eq!(memo_files, 0);
     let _ = std::fs::remove_dir_all(&memo_dir);
     let _ = std::fs::remove_dir_all(&trace_dir);
 }
